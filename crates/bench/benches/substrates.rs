@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 use vine_dag::rewrite::add_tree_reduce;
 use vine_dag::{ReadyTracker, TaskGraph, TaskKind};
 use vine_data::{EventGenerator, Hist1D};
-use vine_net::fairshare::{max_min_fair, FlowSpec};
+use vine_net::fairshare::{max_min_fair, max_min_fair_into, FairScratch, FlowSpec};
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 
@@ -54,6 +54,40 @@ fn bench_fairshare(c: &mut Criterion) {
     let peer_caps = vec![1.25e9; 400];
     c.bench_function("fairshare/peer_pairs_200", |b| {
         b.iter(|| black_box(max_min_fair(black_box(&peer_flows), black_box(&peer_caps))))
+    });
+
+    // A campus-scale solve as the fabric runs it (reused scratch): 600
+    // workers on the star (node i: egress 2i, ingress 2i + 1; manager is
+    // node 0, the shared filesystem node 601) carrying 1,300 flows —
+    // 300 manager fan-out, 600 peer pairs, 400 shared-FS streams capped
+    // at the per-stream limit.
+    let workers = 600;
+    let fs = workers + 1;
+    let mut campus_caps = vec![1.5e9, 1.5e9];
+    campus_caps.extend(std::iter::repeat_n(1.25e9, 2 * workers));
+    campus_caps.extend([40e9, 40e9]);
+    let flow = |src: usize, dst: usize, rate_cap: f64| FlowSpec {
+        egress_link: 2 * src,
+        ingress_link: 2 * dst + 1,
+        rate_cap,
+    };
+    let campus_flows: Vec<FlowSpec> = (1..=300)
+        .map(|w| flow(0, w, f64::INFINITY))
+        .chain((1..=workers).map(|w| flow(w, (w + 16) % workers + 1, f64::INFINITY)))
+        .chain((1..=400).map(|w| flow(fs, w, 1.5e9)))
+        .collect();
+    let mut rates = Vec::new();
+    let mut scratch = FairScratch::default();
+    c.bench_function("fairshare/campus_600w_1300_flows", |b| {
+        b.iter(|| {
+            max_min_fair_into(
+                black_box(&campus_flows),
+                black_box(&campus_caps),
+                &mut rates,
+                &mut scratch,
+            );
+            black_box(rates[0])
+        })
     });
 }
 

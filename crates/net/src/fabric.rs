@@ -5,7 +5,8 @@
 //!
 //! 1. [`Fabric::start_flow`] when a transfer begins;
 //! 2. [`Fabric::next_completion`] to learn when the earliest active flow
-//!    will finish at current rates;
+//!    will finish at current rates (an O(1) read: the answer is computed
+//!    once, at the end of each recompute);
 //! 3. [`Fabric::complete_flow`] at that instant;
 //! 4. [`Fabric::cancel_flow`] when an endpoint dies mid-transfer
 //!    (worker preemption).
@@ -55,8 +56,10 @@ struct Flow {
 
 /// A star-topology fabric with per-node egress/ingress access links.
 pub struct Fabric {
-    /// (egress capacity, ingress capacity) per node, bytes/second.
-    links: Vec<(f64, f64)>,
+    /// Capacity per link, bytes/second. Link layout: node i egress = 2i,
+    /// ingress = 2i + 1. Kept current by `add_node` and
+    /// `set_node_bandwidth`, so a recompute never rebuilds it.
+    link_caps: Vec<f64>,
     /// Active flows in ascending-id order. Ids are handed out
     /// monotonically, so inserts are appends and the order — which fixes
     /// float-summation and tie-break behaviour — matches the ordered map
@@ -65,11 +68,11 @@ pub struct Fabric {
     next_flow_id: u64,
     /// Instant to which all flow progress has been advanced.
     now: SimTime,
-    /// Monotone counter of rate recomputations (for tests/diagnostics).
-    recomputes: u64,
+    /// Earliest projected `(finish, flow)` at `now` and current rates;
+    /// refreshed whenever `now`, the rates or the flow set change.
+    earliest: Option<(SimTime, FlowId)>,
     /// Reusable buffers for `recompute_rates`, which runs on every
     /// flow-set change and dominated allocation in the hot path.
-    cap_scratch: Vec<f64>,
     spec_scratch: Vec<FlowSpec>,
     rate_scratch: Vec<f64>,
     fair_scratch: FairScratch,
@@ -79,12 +82,11 @@ impl Fabric {
     /// An empty fabric.
     pub fn new() -> Self {
         Fabric {
-            links: Vec::new(),
+            link_caps: Vec::new(),
             flows: Vec::new(),
             next_flow_id: 0,
             now: SimTime::ZERO,
-            recomputes: 0,
-            cap_scratch: Vec::new(),
+            earliest: None,
             spec_scratch: Vec::new(),
             rate_scratch: Vec::new(),
             fair_scratch: FairScratch::default(),
@@ -99,8 +101,9 @@ impl Fabric {
     /// Attach a node with the given egress/ingress link capacities
     /// (bytes/second; `f64::INFINITY` allowed).
     pub fn add_node(&mut self, egress_bw: f64, ingress_bw: f64) -> NodeId {
-        self.links.push((egress_bw, ingress_bw));
-        NodeId(self.links.len() - 1)
+        self.link_caps.push(egress_bw);
+        self.link_caps.push(ingress_bw);
+        NodeId(self.node_count() - 1)
     }
 
     /// Attach a node with a symmetric access link.
@@ -110,17 +113,12 @@ impl Fabric {
 
     /// Number of attached nodes.
     pub fn node_count(&self) -> usize {
-        self.links.len()
+        self.link_caps.len() / 2
     }
 
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// How many times rates have been recomputed.
-    pub fn recompute_count(&self) -> u64 {
-        self.recomputes
     }
 
     /// The current rate of an active flow, bytes/second.
@@ -143,7 +141,7 @@ impl Fabric {
         rate_cap: f64,
     ) -> FlowId {
         assert!(src != dst, "intra-node transfers do not use the fabric");
-        assert!(src.0 < self.links.len() && dst.0 < self.links.len());
+        assert!(src.0 < self.node_count() && dst.0 < self.node_count());
         self.advance(now);
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
@@ -168,22 +166,7 @@ impl Fabric {
     /// rates, or `None` if no flows are active. Stalled flows (rate 0)
     /// never complete and are skipped.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        for &(id, ref f) in &self.flows {
-            if f.rate <= 0.0 {
-                continue;
-            }
-            // Round up to the next microsecond so the flow is always fully
-            // drained (never early) when the completion event fires.
-            let finish =
-                self.now + SimDur::from_micros((f.remaining / f.rate * 1e6).ceil().max(0.0) as u64);
-            match best {
-                // Tie-break on FlowId for determinism.
-                Some((bt, bid)) if (finish, id) >= (bt, bid) => {}
-                _ => best = Some((finish, id)),
-            }
-        }
-        best
+        self.earliest
     }
 
     /// Complete `id` at `now` (which must be at or after its projected
@@ -216,7 +199,11 @@ impl Fabric {
     /// actually delivered so far.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<FlowRecord> {
         self.advance(now);
-        let i = self.flow_index(id).ok()?;
+        let Ok(i) = self.flow_index(id) else {
+            // `advance` moved time, so the projection must follow it.
+            self.earliest = self.scan_earliest();
+            return None;
+        };
         let (_, f) = self.flows.remove(i);
         self.recompute_rates();
         Some(FlowRecord {
@@ -267,13 +254,14 @@ impl Fabric {
         ingress_bw: f64,
     ) {
         self.advance(now);
-        self.links[node.0] = (egress_bw.max(0.0), ingress_bw.max(0.0));
+        self.link_caps[node.0 * 2] = egress_bw.max(0.0);
+        self.link_caps[node.0 * 2 + 1] = ingress_bw.max(0.0);
         self.recompute_rates();
     }
 
     /// The node's current (egress, ingress) access-link capacities.
     pub fn node_bandwidth(&self, node: NodeId) -> (f64, f64) {
-        self.links[node.0]
+        (self.link_caps[node.0 * 2], self.link_caps[node.0 * 2 + 1])
     }
 
     /// Advance in-flight progress to `now` at current rates.
@@ -288,18 +276,9 @@ impl Fabric {
         self.now = now;
     }
 
-    /// Recompute the max–min fair allocation over all active flows.
+    /// Recompute the max–min fair allocation over all active flows, then
+    /// the earliest completion under it.
     fn recompute_rates(&mut self) {
-        self.recomputes += 1;
-        if self.flows.is_empty() {
-            return;
-        }
-        // Link layout: node i egress = 2i, ingress = 2i + 1.
-        self.cap_scratch.clear();
-        for &(e, i) in &self.links {
-            self.cap_scratch.push(e);
-            self.cap_scratch.push(i);
-        }
         // Deterministic flow order: the list is id-sorted.
         self.spec_scratch.clear();
         self.spec_scratch
@@ -310,13 +289,34 @@ impl Fabric {
             }));
         max_min_fair_into(
             &self.spec_scratch,
-            &self.cap_scratch,
+            &self.link_caps,
             &mut self.rate_scratch,
             &mut self.fair_scratch,
         );
         for ((_, f), &r) in self.flows.iter_mut().zip(&self.rate_scratch) {
             f.rate = r;
         }
+        self.earliest = self.scan_earliest();
+    }
+
+    /// The earliest projected `(finish, flow)` by a full scan.
+    fn scan_earliest(&self) -> Option<(SimTime, FlowId)> {
+        let mut best: Option<(SimTime, FlowId)> = None;
+        for &(id, ref f) in &self.flows {
+            if f.rate <= 0.0 {
+                continue;
+            }
+            // Round up to the next microsecond so the flow is always fully
+            // drained (never early) when the completion event fires.
+            let finish =
+                self.now + SimDur::from_micros((f.remaining / f.rate * 1e6).ceil().max(0.0) as u64);
+            match best {
+                // Tie-break on FlowId for determinism.
+                Some((bt, bid)) if (finish, id) >= (bt, bid) => {}
+                _ => best = Some((finish, id)),
+            }
+        }
+        best
     }
 }
 
@@ -332,6 +332,72 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
+    }
+
+    /// The cached `next_completion` equals a fresh full scan.
+    fn assert_cache_fresh(fab: &Fabric) {
+        assert_eq!(fab.next_completion(), fab.scan_earliest());
+    }
+
+    #[test]
+    fn cached_completion_tracks_every_mutation() {
+        let mut fab = Fabric::new();
+        let a = fab.add_symmetric_node(100.0);
+        let b = fab.add_symmetric_node(100.0);
+        let c = fab.add_node(70.0, 30.0);
+        let d = fab.add_symmetric_node(1e3);
+        let f1 = fab.start_flow(SimTime::ZERO, a, b, 1000, f64::INFINITY);
+        assert_cache_fresh(&fab);
+        // 1000 B at 100 B/s, then 22,932 µs pass with no rate change: the
+        // rounded-up projection moves by one microsecond, so the cache
+        // must be refreshed even though no flow changed.
+        assert_eq!(fab.next_completion(), Some((t(10.0), f1)));
+        assert!(fab
+            .cancel_flow(SimTime::from_micros(22_932), FlowId(99))
+            .is_none());
+        assert_eq!(
+            fab.next_completion(),
+            Some((SimTime::from_micros(10_000_001), f1))
+        );
+        assert_cache_fresh(&fab);
+
+        let f2 = fab.start_flow(t(0.5), a, c, 400, f64::INFINITY);
+        assert_cache_fresh(&fab);
+        let f3 = fab.start_flow(t(0.7), d, c, 5000, 25.0);
+        assert_cache_fresh(&fab);
+        let f4 = fab.start_flow(t(0.9), c, d, 300, f64::INFINITY);
+        assert_cache_fresh(&fab);
+        fab.start_flow(t(1.0), b, d, 2000, f64::INFINITY);
+        assert_cache_fresh(&fab);
+
+        let (at, id) = fab.next_completion().expect("flows are moving");
+        assert_eq!(id, f4, "300 B at up to 70 B/s finishes first");
+        fab.complete_flow(at, id);
+        assert_cache_fresh(&fab);
+
+        assert!(fab.cancel_flow(at + SimDur::from_micros(1), f2).is_some());
+        assert_cache_fresh(&fab);
+        assert!(fab.cancel_flow(at + SimDur::from_micros(777), f2).is_none());
+        assert_cache_fresh(&fab);
+
+        // Partition `d` and restore it.
+        fab.set_node_bandwidth(at + SimDur::from_micros(1000), d, 0.0, 0.0);
+        assert_eq!(fab.flow_rate(f3), Some(0.0));
+        assert_cache_fresh(&fab);
+        fab.set_node_bandwidth(at + SimDur::from_micros(5000), d, 1e3, 1e3);
+        assert_cache_fresh(&fab);
+
+        let records = fab.cancel_flows_touching(at + SimDur::from_micros(6000), c);
+        assert_eq!(records.len(), 1, "only {f3:?} still touches c");
+        assert_cache_fresh(&fab);
+
+        // Drain what is left; the last flow leaving empties the cache.
+        while let Some((at, id)) = fab.next_completion() {
+            fab.complete_flow(at, id);
+            assert_cache_fresh(&fab);
+        }
+        assert_eq!(fab.active_flows(), 0);
+        assert_eq!(fab.next_completion(), None);
     }
 
     #[test]

@@ -27,11 +27,47 @@ pub struct FlowSpec {
 
 /// Reusable working memory for [`max_min_fair_into`], so the per-event
 /// recompute in the fabric hot path allocates nothing.
+///
+/// Between calls every slot's `load` is zero; a slot's other fields are
+/// written before they are read, so stale contents never leak into a
+/// solve.
 #[derive(Default)]
 pub struct FairScratch {
-    remaining: Vec<f64>,
+    /// Per-link state, indexed by link id.
+    slot: Vec<LinkSlot>,
+    /// Whether each flow is still unfixed.
     active: Vec<bool>,
-    load: Vec<usize>,
+    /// Links that carry an unfixed flow, ascending, plus drained links not
+    /// yet pruned. Every link with a nonzero `load` is in it.
+    live: Vec<usize>,
+    /// CSR adjacency: the flows on link `l` are
+    /// `adj[slot[l].adj_begin..slot[l].adj_end]`, in ascending flow order.
+    /// A flow whose egress is its ingress appears twice on that link.
+    adj: Vec<u32>,
+    /// Unfixed flows with a finite cap, ascending.
+    capped: Vec<usize>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct LinkSlot {
+    /// Capacity not yet allocated to fixed flows.
+    remaining: f64,
+    /// `remaining.max(0.0) / load`: the fair share the link offers its
+    /// unfixed flows. Kept current while `load > 0`.
+    share: f64,
+    /// Unfixed flow endpoints on the link.
+    load: u32,
+    /// The link's range in `FairScratch::adj`.
+    adj_begin: u32,
+    adj_end: u32,
+}
+
+impl LinkSlot {
+    fn update_share(&mut self) {
+        if self.load > 0 {
+            self.share = self.remaining.max(0.0) / self.load as f64;
+        }
+    }
 }
 
 /// Compute max–min fair rates for `flows` over links with the given
@@ -46,6 +82,12 @@ pub fn max_min_fair(flows: &[FlowSpec], link_capacity: &[f64]) -> Vec<f64> {
 
 /// Allocation-free variant of [`max_min_fair`]: writes one rate per flow
 /// (in order) into `rate`, reusing `scratch` across calls.
+///
+/// A round costs the links that still carry an unfixed flow, the unfixed
+/// capped flows, and the adjacency of the bottleneck link; links no flow
+/// crosses are never visited. Flows are fixed in the same order as a dense
+/// scan over every link and flow would fix them, so each link sees the
+/// same subtractions in the same order and the rates are bit-identical.
 pub fn max_min_fair_into(
     flows: &[FlowSpec],
     link_capacity: &[f64],
@@ -60,47 +102,86 @@ pub fn max_min_fair_into(
     }
 
     let FairScratch {
-        remaining,
+        slot,
         active,
-        load,
+        live,
+        adj,
+        capped,
     } = scratch;
-    remaining.clear();
-    remaining.extend_from_slice(link_capacity);
+    if slot.len() < link_capacity.len() {
+        slot.resize(link_capacity.len(), LinkSlot::default());
+    }
     active.clear();
     active.resize(n, true);
     let mut active_count = n;
-    // Number of active flows on each link.
-    load.clear();
-    load.resize(link_capacity.len(), 0);
-    for f in flows {
-        load[f.egress_link] += 1;
-        load[f.ingress_link] += 1;
+
+    // Number of active flows on each link, and the links touched.
+    live.clear();
+    capped.clear();
+    for (i, f) in flows.iter().enumerate() {
+        for l in [f.egress_link, f.ingress_link] {
+            if slot[l].load == 0 {
+                live.push(l);
+            }
+            slot[l].load += 1;
+        }
+        if f.rate_cap.is_finite() {
+            capped.push(i);
+        }
+    }
+    live.sort_unstable();
+
+    // Adjacency: bucket flows by link. Each bucket is filled from its end
+    // in descending flow order, so it reads ascending.
+    let mut end = 0;
+    for &l in live.iter() {
+        let s = &mut slot[l];
+        s.remaining = link_capacity[l];
+        s.update_share();
+        end += s.load;
+        s.adj_begin = end;
+        s.adj_end = end;
+    }
+    adj.clear();
+    adj.resize(end as usize, 0);
+    for (i, f) in flows.iter().enumerate().rev() {
+        for l in [f.egress_link, f.ingress_link] {
+            let s = &mut slot[l];
+            s.adj_begin -= 1;
+            adj[s.adj_begin as usize] = i as u32;
+        }
     }
 
     const EPS: f64 = 1e-9;
 
     while active_count > 0 {
-        // Fair share offered by the most constrained link.
+        // Fair share offered by the most constrained link; links whose
+        // flows are all fixed drop out of `live` for good.
         let mut bottleneck_share = f64::INFINITY;
-        for (l, &cap) in remaining.iter().enumerate() {
-            if load[l] > 0 {
-                bottleneck_share = bottleneck_share.min(cap.max(0.0) / load[l] as f64);
+        live.retain(|&l| {
+            let s = &slot[l];
+            if s.load == 0 {
+                return false;
             }
-        }
+            bottleneck_share = bottleneck_share.min(s.share);
+            true
+        });
 
         // Flows whose private cap binds below the link share are fixed at
         // their cap; this releases capacity, so redo the loop afterwards.
         let mut fixed_any_cap = false;
-        for i in 0..n {
-            if active[i]
-                && flows[i].rate_cap.is_finite()
-                && flows[i].rate_cap <= bottleneck_share + EPS
-            {
-                fix_flow(i, flows[i].rate_cap, flows, rate, remaining, load, active);
+        capped.retain(|&i| {
+            if !active[i] {
+                return false;
+            }
+            if flows[i].rate_cap <= bottleneck_share + EPS {
+                fix_flow(i, flows[i].rate_cap, flows, rate, slot, active);
                 active_count -= 1;
                 fixed_any_cap = true;
+                return false;
             }
-        }
+            true
+        });
         if fixed_any_cap {
             continue;
         }
@@ -119,17 +200,18 @@ pub fn max_min_fair_into(
         }
 
         // Fix every flow on the (first) bottleneck link, then recompute.
-        let bottleneck_link = (0..remaining.len()).find(|&l| {
-            load[l] > 0 && (remaining[l].max(0.0) / load[l] as f64) <= bottleneck_share + EPS
-        });
-        let Some(l) = bottleneck_link else {
+        let Some(&l) = live
+            .iter()
+            .find(|&&l| slot[l].share <= bottleneck_share + EPS)
+        else {
             debug_assert!(false, "water-filling made no progress");
             break;
         };
         let mut fixed_any = false;
-        for i in 0..n {
-            if active[i] && (flows[i].egress_link == l || flows[i].ingress_link == l) {
-                fix_flow(i, bottleneck_share, flows, rate, remaining, load, active);
+        for &i in &adj[slot[l].adj_begin as usize..slot[l].adj_end as usize] {
+            let i = i as usize;
+            if active[i] {
+                fix_flow(i, bottleneck_share, flows, rate, slot, active);
                 active_count -= 1;
                 fixed_any = true;
             }
@@ -139,6 +221,12 @@ pub fn max_min_fair_into(
             break;
         }
     }
+
+    // Restore the all-zero `load` invariant (the unconstrained exit and
+    // the no-progress guard leave loads behind).
+    for &l in live.iter() {
+        slot[l].load = 0;
+    }
 }
 
 fn fix_flow(
@@ -146,18 +234,20 @@ fn fix_flow(
     r: f64,
     flows: &[FlowSpec],
     rate: &mut [f64],
-    remaining: &mut [f64],
-    load: &mut [usize],
+    slot: &mut [LinkSlot],
     active: &mut [bool],
 ) {
     let r = r.max(0.0);
     rate[i] = r;
     active[i] = false;
     let f = &flows[i];
-    remaining[f.egress_link] = (remaining[f.egress_link] - r).max(0.0);
-    remaining[f.ingress_link] = (remaining[f.ingress_link] - r).max(0.0);
-    load[f.egress_link] -= 1;
-    load[f.ingress_link] -= 1;
+    for l in [f.egress_link, f.ingress_link] {
+        let s = &mut slot[l];
+        s.remaining = (s.remaining - r).max(0.0);
+        s.load -= 1;
+    }
+    slot[f.egress_link].update_share();
+    slot[f.ingress_link].update_share();
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 #    proper, write the per-workload array to BENCH_ci.json, and fail on a
 #    >25% sim_wall_ms regression against the baseline array. Wall clock is
 #    noisy on shared runners, hence best-of-three and the wide margin; the
-#    tracked fields are sim_wall_ms and sim_events_per_wall_sec.
+#    tracked fields are sim_wall_ms and sim_events_per_wall_sec. A speed-up
+#    must not change what is simulated, so each workload's makespan_s,
+#    events and peak_cache_bytes must also equal the baseline exactly.
 #
 # Also runs the streaming gates (ISSUE 6), the shard gate (ISSUE 8), and
 # the watch gate (ISSUE 9) — see the sections below.
@@ -122,6 +124,15 @@ if [ "$MODE" != classic ]; then
       printf "throughput gate: %s sim_wall %.3fms vs baseline %.3fms (ratio %.3f, fails above 1.25)\n", wl, new, old, ratio
       exit (ratio > 1.25) ? 1 : 0
     }'
+    for key in makespan_s events peak_cache_bytes; do
+      new=$(extract_wl "$key" "$wl" "$OUT")
+      old=$(extract_wl "$key" "$wl" "$BASELINE")
+      if [ -z "$new" ] || [ "$new" != "$old" ]; then
+        echo "determinism gate: $wl $key is '$new', baseline '$old' (must be equal)" >&2
+        exit 1
+      fi
+    done
+    echo "determinism gate: $wl makespan_s, events and peak_cache_bytes equal the baseline"
   done
 fi
 
