@@ -229,20 +229,6 @@ impl AuditReport {
         m
     }
 
-    /// Distinct codes with at least one active or waived finding.
-    pub fn distinct_codes(&self) -> Vec<Code> {
-        let mut v: Vec<Code> = Code::ALL
-            .iter()
-            .copied()
-            .filter(|c| {
-                self.findings.iter().any(|f| f.code == *c)
-                    || self.waived.iter().any(|f| f.code == *c)
-            })
-            .collect();
-        v.dedup();
-        v
-    }
-
     /// Deterministic human-readable text: one line per finding, sorted,
     /// then a summary. `show_waived` appends the waived list.
     pub fn to_text(&self, show_waived: bool) -> String {

@@ -12,8 +12,12 @@
 //!
 //! Run as a smoke test with `cargo bench --bench event_queue -- --test`.
 
+#[path = "support/heap_queue.rs"]
+mod heap_queue;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vine_simcore::{BinaryHeapQueue, EventQueue, SimTime};
+use heap_queue::BinaryHeapQueue;
+use vine_simcore::{EventQueue, SimTime};
 
 /// Deterministic 64-bit mix (splitmix64) — cheap stand-in for an RNG so
 /// both queues see the identical schedule.

@@ -385,7 +385,12 @@ fn main() {
     println!("running tasks:");
     println!(
         "{}",
-        plot::ascii_series(&r.running_series, r.makespan_secs().max(1.0), 100, 8)
+        plot::ascii_series(
+            &r.figures.running_series,
+            r.makespan_secs().max(1.0),
+            100,
+            8
+        )
     );
     if obs.enabled() {
         let label = if args.dask {

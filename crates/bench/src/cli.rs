@@ -1,10 +1,5 @@
-//! Shared engine-facing CLI plumbing for the bench binaries.
-//!
-//! Before this module, `--chaos`, `--recovery`, and `--bench-json` were
-//! re-parsed (and re-documented, and re-diverged) by each binary that
-//! wanted them, while `--trace-out`/`--metrics` lived in
-//! [`ObsCli`](crate::obsout::ObsCli). [`BenchCli`] is the one place the
-//! whole flag family lives now:
+//! Engine-facing CLI plumbing for `vine-sim`. [`BenchCli`] is the one
+//! place the whole flag family lives:
 //!
 //! * `--trace-out DIR` / `--metrics` — observability export (delegated
 //!   to [`ObsCli`]);
@@ -17,8 +12,8 @@
 //!   [`vine_analysis::ConvergenceObserver`] with threshold `T` ∈ (0, 1]
 //!   and let the run stop early at convergence.
 //!
-//! Binaries call [`BenchCli::parse`], use [`BenchCli::apply`] to fold
-//! the chaos/recovery choices into an [`EngineConfig`], and parse their
+//! `vine-sim` calls [`BenchCli::parse`], uses [`BenchCli::apply`] to fold
+//! the chaos/recovery choices into an [`EngineConfig`], and parses its
 //! own flags from [`BenchCli::rest`].
 
 use vine_core::{EngineConfig, FaultPlan, RecoveryPolicy, RunResult};
@@ -61,16 +56,12 @@ impl BenchCli {
 
     /// Same, from an explicit argument list (tests).
     pub fn from_args(args: impl Iterator<Item = String>) -> Result<BenchCli, String> {
+        let mut obs = ObsCli::from_args(args);
+        let mut it = std::mem::take(&mut obs.rest).into_iter();
         let mut cli = BenchCli {
+            obs,
             recovery_name: "default".into(),
             ..BenchCli::default()
-        };
-        let obs = ObsCli::from_args(args);
-        let mut it = obs.rest.clone().into_iter();
-        cli.obs = ObsCli {
-            trace_dir: obs.trace_dir,
-            metrics: obs.metrics,
-            rest: Vec::new(),
         };
         while let Some(a) = it.next() {
             let mut value =
@@ -107,9 +98,6 @@ impl BenchCli {
                 _ => cli.rest.push(a),
             }
         }
-        // Keep the ObsCli's view of the remainder coherent for callers
-        // that pass `obs.rest` onward.
-        cli.obs.rest = cli.rest.clone();
         Ok(cli)
     }
 
@@ -119,12 +107,6 @@ impl BenchCli {
             cfg = cfg.with_chaos(plan.clone());
         }
         cfg.with_recovery(self.recovery)
-    }
-
-    /// The customary first positional argument of the fig binaries
-    /// (scale-down factor), default 1.
-    pub fn scale(&self) -> usize {
-        self.obs.scale()
     }
 
     /// Write the `--bench-json` summary for a finished run, if the flag
@@ -212,7 +194,6 @@ mod tests {
         assert_eq!(cli.stream_threshold, Some(0.5));
         assert!(cli.obs.metrics);
         assert_eq!(cli.rest, ["--workload", "dv3-small", "--stack", "3"]);
-        assert_eq!(cli.obs.rest, cli.rest);
     }
 
     #[test]

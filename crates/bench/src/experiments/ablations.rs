@@ -17,6 +17,10 @@ use vine_analysis::WorkloadSpec;
 use vine_cluster::{ClusterSpec, PreemptionModel};
 use vine_core::{DataSource, EngineConfig, Placement, RunRequest, RunResult};
 
+use super::{EngineRun, Fig};
+use crate::report;
+use vine_simcore::units::fmt_bytes;
+
 /// A labeled makespan measurement with supporting counters.
 #[derive(Clone, Debug)]
 pub struct AblationRow {
@@ -120,6 +124,85 @@ pub fn datasource(seed: u64, scale_down: usize) -> Vec<AblationRow> {
         row(label.to_string(), r)
     })
     .collect()
+}
+
+/// Print one ablation table and write it to `results/ablation_<slug>.csv`.
+fn section(title: &str, rows: &[AblationRow]) {
+    let header = [
+        "Variant",
+        "Runtime",
+        "Task executions",
+        "Peer transfer volume",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.variant.clone(),
+                if r.completed {
+                    format!("{:.0}s", r.makespan_s)
+                } else {
+                    "FAILED".into()
+                },
+                r.executions.to_string(),
+                fmt_bytes(r.peer_bytes),
+            ]
+        })
+        .collect();
+    println!("\n== {title} ==\n");
+    println!("{}", report::render_table(&header, &data));
+    let slug: String = title
+        .split_whitespace()
+        .next()
+        .unwrap_or("x")
+        .chars()
+        .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
+        .collect();
+    let file = format!("ablation_{}.csv", slug.to_lowercase());
+    report::write_csv(&file, &report::to_csv(&header, &data));
+}
+
+/// `vine-fig ablations [scale_down]` (default 10); see DESIGN.md §5.
+/// Records the Stack 4 DV3-Large baseline.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0);
+    eprintln!("Ablations at scale 1/{scale} ...");
+    let cfg = EngineConfig::stack4(ClusterSpec::standard((200 / scale.max(1)).max(4)), 42);
+    let graph = |spec: WorkloadSpec| spec.scaled_down(scale.max(1)).to_graph();
+    let runs = vec![
+        EngineRun::new(
+            "ablations-baseline",
+            cfg.clone(),
+            graph(WorkloadSpec::dv3_large()),
+        )
+        .recorded(),
+        EngineRun::new(
+            "ablations-rs-triphoton",
+            cfg.clone(),
+            graph(WorkloadSpec::rs_triphoton()),
+        ),
+        EngineRun::new(
+            "ablations-dv3-medium",
+            cfg,
+            graph(WorkloadSpec::dv3_medium()),
+        ),
+    ];
+    fig.preflight(&runs);
+    section(
+        "Replication under preemption (DV3-Large)",
+        &replication(42, scale),
+    );
+    section("Placement policy (DV3-Large)", &placement(42, scale));
+    section(
+        "Peer-transfer throttle (RS-TriPhoton)",
+        &throttle(42, scale),
+    );
+    section(
+        "Datasource: site storage vs wide-area XRootD (DV3-Medium)",
+        &datasource(42, scale),
+    );
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! fig-chaos — the chaos matrix: every fault-injection preset crossed
-//! with the recovery-policy ladder, on DV3-Small. See DESIGN.md §10.
-//!
-//! Usage: fig-chaos `[scale_down]` (default 4)
+//! The chaos matrix (`vine-fig fig-chaos`): every fault-injection preset
+//! crossed with the recovery-policy ladder, on DV3-Small. See DESIGN.md
+//! §10.
 //!
 //! Writes `results/chaos.csv`. The `stragglers` rows are the headline:
 //! the `speculative` policy (default + speculative re-execution) must
@@ -9,9 +8,11 @@
 //! straggler-mitigation argument.
 
 use vine_analysis::WorkloadSpec;
-use vine_bench::report;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, FaultPlan, RecoveryPolicy, RunOutcome, RunRequest};
+
+use super::Fig;
+use crate::report;
 
 struct Row {
     preset: &'static str,
@@ -44,11 +45,10 @@ fn policies() -> Vec<(&'static str, RecoveryPolicy)> {
     ]
 }
 
-fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+/// `vine-fig fig-chaos [scale_down]` (default 4). Fails unless
+/// speculation beats the plain policy on the stragglers preset.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0);
     // Deliberately few workers: the workload then runs in several waves,
     // so time-windowed faults (stragglers, link degradation) catch
     // attempts started inside their windows instead of expiring before
@@ -139,7 +139,7 @@ fn main() {
         plain.makespan_s, spec.makespan_s, spec.spec_wins
     );
     if spec.makespan_s >= plain.makespan_s {
-        eprintln!("WARNING: speculation did not reduce the straggler makespan");
-        std::process::exit(1);
+        return Err("WARNING: speculation did not reduce the straggler makespan".into());
     }
+    Ok(())
 }

@@ -9,14 +9,12 @@
 //! p50/p95/p99 makespan, queue waits, and the facility-wide warm-hit
 //! ratio; the per-submission records land in `results/facility.csv` and
 //! the deterministic metrics export in `results/facility_metrics.txt`.
-//!
-//! Usage: facility `[scale_down] [--trace-out DIR] [--metrics]`
-//! (default scale 20; larger = smaller workloads)
 
 use vine_analysis::WorkloadSpec;
-use vine_bench::obsout::ObsCli;
-use vine_bench::report;
 use vine_serve::{Facility, FacilityConfig, LoadGen};
+
+use super::{EngineRun, Fig};
+use crate::report;
 
 /// `cold/this` as a readable factor; a fully-memoized run finishes in
 /// (essentially) zero simulated time, which reads better as a floor.
@@ -29,14 +27,23 @@ fn speedup_label(cold_s: f64, this_s: f64) -> String {
     }
 }
 
-fn main() {
-    let obs = ObsCli::parse();
-    let scale = if obs.rest.is_empty() { 20 } else { obs.scale() };
+/// `vine-fig facility [scale_down]` (default 20; larger = smaller
+/// workloads). Records one cold Stack 3 run of the analyst's graph.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
     let seed = 42;
     eprintln!("Facility: warm-start + multi-tenant fair share (scale 1/{scale}) ...");
+    let spec = WorkloadSpec::dv3_small().scaled_down(scale);
+    let runs = vec![EngineRun::new(
+        "facility_cold",
+        vine_core::EngineConfig::stack(3, vine_cluster::ClusterSpec::standard(4), seed)
+            .deterministic(),
+        spec.to_graph(),
+    )
+    .recorded()];
+    fig.preflight(&runs);
 
     // ---- Part 1: cold → warm → edited, one analyst ------------------
-    let spec = WorkloadSpec::dv3_small().scaled_down(scale);
     let mut facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is clean");
     for d in facility.preflight().diagnostics() {
         eprintln!("  preflight: {d}");
@@ -126,11 +133,6 @@ fn main() {
 
     report::write_csv("facility.csv", &rep.to_csv());
     report::write_csv("facility_metrics.txt", &rep.to_metrics().to_text());
-
-    // ---- Observability passthrough ----------------------------------
-    if obs.enabled() {
-        let cluster = vine_cluster::ClusterSpec::standard(4);
-        let cfg = vine_core::EngineConfig::stack(3, cluster, seed).deterministic();
-        obs.export_engine_run("facility_cold", cfg, spec.to_graph());
-    }
+    fig.record(runs);
+    Ok(())
 }

@@ -18,6 +18,9 @@ use vine_dag::{TaskGraph, TaskKind};
 use vine_simcore::units::{gbit_per_sec, KB};
 use vine_simcore::Dist;
 
+use super::{EngineRun, Fig};
+use crate::{obsout, report};
+
 /// One point of the sweep.
 #[derive(Clone, Debug)]
 pub struct HoistPoint {
@@ -107,6 +110,84 @@ pub fn hoist_speedup(points: &[HoistPoint], complexity: f64, source: ImportSourc
             .mean_task_s
     };
     find(false) / find(true)
+}
+
+/// `vine-fig fig10 [n_tasks]` (default 15000 = paper scale). Records the
+/// unhoisted and hoisted runs at complexity 1 with local imports: the
+/// imports phase in their digest diff is exactly what hoisting saves.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let n = fig.num(0);
+    eprintln!("Fig 10: import hoisting sweep, {n} function calls ...");
+    let runs: Vec<EngineRun> = [("fig10-unhoisted", false), ("fig10-hoisted", true)]
+        .into_iter()
+        .map(|(label, hoist_imports)| {
+            let mut cfg = EngineConfig::stack4(hoisting_cluster(), 42);
+            cfg.exec_mode = ExecMode::FunctionCalls { hoist_imports };
+            EngineRun::new(label, cfg, workflow(n, 1.0)).recorded()
+        })
+        .collect();
+    fig.preflight(&runs);
+    let pts = run(42, n);
+
+    let header = [
+        "Complexity",
+        "Mean task (hoisted, local)",
+        "Mean task (unhoisted, local)",
+        "Speedup local",
+        "Mean task (hoisted, shared)",
+        "Mean task (unhoisted, shared)",
+        "Speedup shared",
+    ];
+    let find = |c: f64, src: ImportSource, h: bool| {
+        pts.iter()
+            .find(|p| p.complexity == c && p.import_source == src && p.hoisted == h)
+            .expect("point exists")
+    };
+    let mut data = Vec::new();
+    for &c in &complexities() {
+        let hl = find(c, ImportSource::WorkerLocal, true);
+        let ul = find(c, ImportSource::WorkerLocal, false);
+        let hs = find(c, ImportSource::SharedFilesystem, true);
+        let us = find(c, ImportSource::SharedFilesystem, false);
+        data.push(vec![
+            format!("{c}"),
+            format!("{:.3}s", hl.mean_task_s),
+            format!("{:.3}s", ul.mean_task_s),
+            format!("{:.2}x", ul.mean_task_s / hl.mean_task_s),
+            format!("{:.3}s", hs.mean_task_s),
+            format!("{:.3}s", us.mean_task_s),
+            format!("{:.2}x", us.mean_task_s / hs.mean_task_s),
+        ]);
+    }
+    println!("\nFIG 10: Import hoisting (task execution time)\n");
+    println!("{}", report::render_table(&header, &data));
+    println!("Paper: significant speedup for short fine-grained tasks, fading for long");
+    println!("       tasks; local storage slightly outperforms the shared filesystem.");
+    report::write_csv("fig10.csv", &report::to_csv(&header, &data));
+
+    // Also dump the raw makespans.
+    let raw_header = [
+        "complexity",
+        "source",
+        "hoisted",
+        "makespan_s",
+        "mean_task_s",
+    ];
+    let raw: Vec<Vec<String>> = pts
+        .iter()
+        .map(|p| {
+            vec![
+                p.complexity.to_string(),
+                format!("{:?}", p.import_source),
+                p.hoisted.to_string(),
+                format!("{:.3}", p.makespan_s),
+                format!("{:.4}", p.mean_task_s),
+            ]
+        })
+        .collect();
+    report::write_csv("fig10_raw.csv", &report::to_csv(&raw_header, &raw));
+    obsout::print_digest_diff("Unhoisted -> hoisted digest diff:", &fig.record(runs));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@ use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunRequest};
 use vine_simcore::trace::IntervalTrace;
 
+use super::{EngineRun, Fig};
+use crate::{plot, report};
+
 /// One (stack, workers) cell of the figure.
 #[derive(Clone, Debug)]
 pub struct GanttCell {
@@ -39,7 +42,7 @@ pub fn run_cell(stack: usize, workers: usize, seed: u64, scale_down: usize) -> G
     );
     let makespan = r.makespan_secs();
     let cores = ClusterSpec::standard(workers).total_cores() as f64;
-    let gantt = r.gantt.expect("gantt enabled");
+    let gantt = r.figures.gantt.expect("gantt enabled");
     let busy: f64 = (0..workers).map(|w| gantt.busy_time(w).as_secs_f64()).sum();
     GanttCell {
         stack,
@@ -59,6 +62,80 @@ pub fn run(seed: u64, small: usize, large: usize, scale_down: usize) -> Vec<Gant
         }
     }
     out
+}
+
+/// `vine-fig fig13 [small_workers] [large_workers] [scale_down]`
+/// (defaults: 20, 200, 1 = paper scale). Records the Stack 4 run on the
+/// wide cluster: the TASK spans in its trace are the Gantt bars, one per
+/// execution.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let (small, large, scale) = (fig.num(0), fig.num(1), fig.num(2));
+    eprintln!(
+        "Fig 13: worker activity, DV3-Large, {small} vs {large} workers (scale 1/{scale}) ..."
+    );
+    let graph = WorkloadSpec::dv3_large().scaled_down(scale).to_graph();
+    let mut runs: Vec<EngineRun> = [(3, small), (4, small), (3, large), (4, large)]
+        .into_iter()
+        .map(|(stack, workers)| {
+            let mut cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), 42);
+            cfg.trace.gantt = true;
+            EngineRun::new(format!("fig13-stack{stack}-{workers}w"), cfg, graph.clone())
+        })
+        .collect();
+    runs[3].recorded = true;
+    fig.preflight(&runs);
+    let cells = run(42, small, large, scale);
+
+    let header = ["Stack", "Workers", "Cores", "Makespan", "Core utilization"];
+    let data: Vec<Vec<String>> = cells
+        .iter()
+        .map(|c| {
+            vec![
+                format!("Stack {}", c.stack),
+                c.workers.to_string(),
+                (c.workers * 12).to_string(),
+                format!("{:.0}s", c.makespan_s),
+                format!("{:.1}%", 100.0 * c.mean_utilization),
+            ]
+        })
+        .collect();
+    println!("\nFIG 13: Worker occupancy by stack and cluster width\n");
+    println!("{}", report::render_table(&header, &data));
+    println!("Paper: Stack 3 keeps {small} workers busy but cannot feed {large};");
+    println!("       Stack 4 is marginally faster at {small} and much better at {large}.");
+    report::write_csv("fig13_summary.csv", &report::to_csv(&header, &data));
+
+    // ASCII Gantt strips (the figure itself).
+    for c in &cells {
+        println!(
+            "Stack {} on {} workers (shade = core occupancy per time bucket):",
+            c.stack, c.workers
+        );
+        println!(
+            "{}",
+            plot::ascii_gantt(&c.gantt, c.workers, 12, c.makespan_s, 100, 20)
+        );
+    }
+
+    // Gantt intervals (worker, start, end, kind) per cell.
+    for c in &cells {
+        let mut csv = String::from("worker,start_s,end_s,kind\n");
+        for iv in c.gantt.intervals() {
+            csv.push_str(&format!(
+                "{},{:.3},{:.3},{}\n",
+                iv.entity,
+                iv.start.as_secs_f64(),
+                iv.end.as_secs_f64(),
+                if iv.tag == 0 { "process" } else { "accumulate" },
+            ));
+        }
+        report::write_csv(
+            &format!("fig13_gantt_stack{}_{}w.csv", c.stack, c.workers),
+            &csv,
+        );
+    }
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

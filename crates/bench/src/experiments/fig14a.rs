@@ -8,6 +8,9 @@ use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunRequest};
 
+use super::{EngineRun, Fig};
+use crate::report;
+
 /// One scaling point.
 #[derive(Clone, Debug)]
 pub struct ScalePoint {
@@ -72,6 +75,72 @@ pub fn run(seed: u64, scale_down: usize) -> Vec<ScalePoint> {
         &grid,
     ));
     out
+}
+
+/// The columns of the Fig 14a/14b tables.
+pub const HEADER: [&str; 4] = ["Workload", "Scheduler", "Cores", "Runtime"];
+
+/// One table row per point; `failed` stands in for a missing makespan.
+pub fn table_rows(pts: &[ScalePoint], failed: &str) -> Vec<Vec<String>> {
+    pts.iter()
+        .map(|p| {
+            vec![
+                p.workload.to_string(),
+                p.scheduler.to_string(),
+                p.cores.to_string(),
+                p.makespan_s
+                    .map_or_else(|| failed.to_string(), |m| format!("{m:.0}s")),
+            ]
+        })
+        .collect()
+}
+
+/// `vine-fig fig14a [scale_down]` (default 1 = paper scale). Records
+/// both schedulers' DV3-Small runs.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
+    eprintln!("Fig 14a: TaskVine vs Dask.Distributed, DV3-Small/Medium (scale 1/{scale}) ...");
+    let cluster = ClusterSpec::standard(5);
+    let mut runs = Vec::new();
+    for (prefix, spec, recorded) in [
+        ("fig14a", WorkloadSpec::dv3_small(), true),
+        ("fig14a-medium", WorkloadSpec::dv3_medium(), false),
+    ] {
+        let graph = spec.scaled_down(scale).to_graph();
+        for (sched, cfg) in [
+            ("taskvine", EngineConfig::stack4(cluster, 42)),
+            ("dask", EngineConfig::dask_distributed(cluster, 42)),
+        ] {
+            runs.push(EngineRun {
+                recorded,
+                ..EngineRun::new(format!("{prefix}-{sched}"), cfg, graph.clone())
+            });
+        }
+    }
+    fig.preflight(&runs);
+    let pts = run(42, scale);
+
+    let data = table_rows(&pts, "FAILED");
+    println!("\nFIG 14a: Scheduler scaling comparison\n");
+    println!("{}", report::render_table(&HEADER, &data));
+    // Headline ratio at max cores.
+    for wl in ["DV3-Small", "DV3-Medium"] {
+        let find = |sched: &str| {
+            pts.iter()
+                .filter(|p| p.workload == wl && p.scheduler == sched)
+                .max_by_key(|p| p.cores)
+                .and_then(|p| p.makespan_s)
+        };
+        if let (Some(tv), Some(dd)) = (find("TaskVine"), find("Dask.Distributed")) {
+            println!(
+                "{wl} at 300 cores: Dask/TaskVine = {:.2}x  (paper: ~2x)",
+                dd / tv
+            );
+        }
+    }
+    report::write_csv("fig14a.csv", &report::to_csv(&HEADER, &data));
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

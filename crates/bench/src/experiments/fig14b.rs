@@ -10,6 +10,9 @@ use vine_cluster::{ClusterSpec, WorkerSpec};
 use vine_core::{EngineConfig, RunRequest};
 use vine_simcore::units::gbit_per_sec;
 
+use super::{EngineRun, Fig};
+use crate::report;
+
 pub use super::fig14a::ScalePoint;
 
 /// The paper's large-scale worker grid (12-core workers; ×12 = cores).
@@ -90,6 +93,52 @@ pub fn best_cores(points: &[ScalePoint], workload: &str) -> Option<u32> {
                 .unwrap()
         })
         .map(|p| p.cores)
+}
+
+/// `vine-fig fig14b [scale_down]` (default 1 = paper scale). Records the
+/// DV3-Large run.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
+    eprintln!("Fig 14b: large-scale scaling (scale 1/{scale}) ...");
+    let cfg = EngineConfig::stack4(ClusterSpec::standard((200 / scale).max(2)), 42);
+    let mut runs = vec![
+        EngineRun::new(
+            "fig14b-dv3large",
+            cfg.clone(),
+            WorkloadSpec::dv3_large().scaled_down(scale).to_graph(),
+        )
+        .recorded(),
+        EngineRun::new(
+            "fig14b-rs-triphoton",
+            cfg,
+            WorkloadSpec::rs_triphoton().scaled_down(scale).to_graph(),
+        ),
+    ];
+    // The Dask.Distributed non-result: the C005 lint predicts the paper's
+    // reported failure before the engine refuses to run it.
+    if scale == 1 {
+        runs.push(EngineRun::new(
+            "fig14b-dv3large-dask",
+            EngineConfig::dask_distributed(ClusterSpec::standard(10), 42),
+            WorkloadSpec::dv3_large().to_graph(),
+        ));
+    }
+    fig.preflight(&runs);
+    let pts = run(42, scale);
+
+    let data = super::fig14a::table_rows(&pts, "FAILED (crashes/hangs)");
+    println!("\nFIG 14b: Scaling of standard configurations\n");
+    println!("{}", report::render_table(&super::fig14a::HEADER, &data));
+    for wl in ["DV3-Large", "RS-TriPhoton"] {
+        if let Some(best) = best_cores(&pts, wl) {
+            println!("{wl}: best makespan at {best} cores");
+        }
+    }
+    println!("Paper: DV3-Large peaks at 1200 cores; RS-TriPhoton keeps gaining to 2400;");
+    println!("       Dask.Distributed cannot execute these workflows at this scale.");
+    report::write_csv("fig14b.csv", &report::to_csv(&super::fig14a::HEADER, &data));
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

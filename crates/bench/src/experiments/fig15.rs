@@ -9,6 +9,9 @@ use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunRequest, RunResult};
 
+use super::{EngineRun, Fig};
+use crate::{plot, report};
+
 /// The DV3-Huge run summary.
 #[derive(Clone, Debug)]
 pub struct HugeRun {
@@ -35,13 +38,14 @@ pub fn run(seed: u64, scale_down: usize) -> HugeRun {
     assert!(r.completed(), "DV3-Huge failed: {:?}", r.outcome);
 
     let makespan = r.makespan_secs();
-    let peak = r.running_series.max_value();
+    let peak = r.figures.running_series.max_value();
     // Mean over [25%, 75%] of the run.
     let samples = 40;
     let mut sum = 0.0;
     for i in 0..samples {
         let t = makespan * (0.25 + 0.5 * i as f64 / samples as f64);
         sum += r
+            .figures
             .running_series
             .value_at(vine_simcore::SimTime::from_secs_f64(t));
     }
@@ -52,6 +56,57 @@ pub fn run(seed: u64, scale_down: usize) -> HugeRun {
         mid_run_concurrency: sum / samples as f64,
         result: r,
     }
+}
+
+/// `vine-fig fig15 [scale_down]` (default 1 = paper scale; expect
+/// minutes). Records the DV3-Huge run (as expensive as the run itself).
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
+    eprintln!("Fig 15: DV3-Huge on 7200 cores (scale 1/{scale}) — this is the big one ...");
+    let runs = vec![EngineRun::new(
+        "fig15-dv3huge",
+        EngineConfig::stack4(ClusterSpec::standard((600 / scale).max(4)), 42),
+        WorkloadSpec::dv3_huge().scaled_down(scale).to_graph(),
+    )
+    .recorded()];
+    fig.preflight(&runs);
+    let h = run(42, scale);
+    let figures = &h.result.figures;
+
+    println!("\nFIG 15: DV3-Huge full-scale analysis\n");
+    println!("Makespan:             {:.0} s", h.makespan_s);
+    println!("Task executions:      {}", h.task_executions);
+    println!("Peak concurrency:     {:.0} tasks", h.peak_concurrency);
+    println!(
+        "Mid-run concurrency:  {:.0} tasks (mean over middle half)",
+        h.mid_run_concurrency
+    );
+    println!("Preemptions:          {}", h.result.stats.preemptions);
+    println!(
+        "Peer transfer volume: {:.1} TB",
+        h.result.stats.peer_bytes as f64 / 1e12
+    );
+    println!();
+    println!("Paper: 185K tasks with 10K initially executable; TaskVine maintains");
+    println!("       high concurrency until the reduction phase of the graph.");
+
+    println!("Running tasks over the full run:");
+    println!(
+        "{}",
+        plot::ascii_series(&figures.running_series, h.makespan_s, 110, 10)
+    );
+
+    // Timeline on a 5 s grid.
+    let mut csv = String::from("time_s,running,waiting\n");
+    let until = vine_simcore::SimTime::from_secs_f64(h.makespan_s);
+    let dt = vine_simcore::SimDur::from_secs(5);
+    for (t, r) in figures.running_series.resample(until, dt) {
+        let w = figures.waiting_series.value_at(t);
+        csv.push_str(&format!("{:.0},{:.0},{:.0}\n", t.as_secs_f64(), r, w));
+    }
+    report::write_csv("fig15_timeline.csv", &csv);
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

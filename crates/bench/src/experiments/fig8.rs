@@ -11,6 +11,9 @@ use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunRequest};
 use vine_simcore::trace::LogHistogram;
 
+use super::{dv3_large_stacks, Fig};
+use crate::{obsout, report};
+
 /// The two measured distributions.
 #[derive(Clone, Debug)]
 pub struct TaskTimeDistributions {
@@ -29,7 +32,9 @@ pub fn run(seed: u64, scale_down: usize) -> TaskTimeDistributions {
         let cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
         let r = RunRequest::new(cfg, spec.to_graph()).run();
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
-        r.task_time_hist.expect("task-time trace on by default")
+        r.figures
+            .task_time_hist
+            .expect("task-time trace on by default")
     };
     TaskTimeDistributions {
         standard: mk(3),
@@ -37,21 +42,40 @@ pub fn run(seed: u64, scale_down: usize) -> TaskTimeDistributions {
     }
 }
 
-/// Median-ish summary: the lower edge of the first bin at or above the
-/// 50th percentile.
-pub fn approx_median(h: &LogHistogram) -> f64 {
-    let total = h.total();
-    if total == 0 {
-        return 0.0;
+/// `vine-fig fig8 [scale_down]` (default 1 = paper scale). Records the
+/// Stack 3 and Stack 4 runs and prints their digest diff: where the
+/// function-call speedup comes from, phase by phase.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
+    eprintln!("Fig 8: task time distribution, DV3-Large (scale 1/{scale}) ...");
+    let runs = dv3_large_stacks("fig8", scale, &[3, 4], &[3, 4]);
+    fig.preflight(&runs);
+    let d = run(42, scale);
+
+    let header = ["Bin lower edge (s)", "Standard tasks", "Function calls"];
+    let mut data = Vec::new();
+    for i in 0..d.standard.counts().len() {
+        data.push(vec![
+            format!("{:.3}", d.standard.bin_lo(i)),
+            d.standard.counts()[i].to_string(),
+            d.functions.counts()[i].to_string(),
+        ]);
     }
-    let mut seen = 0u64;
-    for (i, &c) in h.counts().iter().enumerate() {
-        seen += c;
-        if seen * 2 >= total {
-            return h.bin_lo(i);
-        }
-    }
-    h.bin_lo(h.counts().len() - 1)
+    println!("\nFIG 8: Task execution time distribution (log2 bins)\n");
+    println!("{}", report::render_table(&header, &data));
+    println!(
+        "In [1s, 16s): standard {:.1}%, functions {:.1}%  (paper: majority in 1-10s)",
+        100.0 * d.standard.fraction_between(1.0, 16.0),
+        100.0 * d.functions.fraction_between(1.0, 16.0),
+    );
+    println!(
+        "Below 4s: standard {:.1}%, functions {:.1}%  (functions shift left)",
+        100.0 * d.standard.fraction_between(0.0, 4.0),
+        100.0 * d.functions.fraction_between(0.0, 4.0),
+    );
+    report::write_csv("fig8.csv", &report::to_csv(&header, &data));
+    obsout::print_digest_diff("Stack 3 -> Stack 4 digest diff:", &fig.record(runs));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
-//! fig-shards — the federation experiment: N facility shards over one
-//! shared content-addressed object tier (`vine-store`), swept across
-//! shard counts and tenant-population sizes. See DESIGN.md §13.
-//!
-//! Usage: fig-shards `[--gate] [--max-tenants N]`
+//! The federation experiment (`vine-fig fig-shards`): N facility shards
+//! over one shared content-addressed object tier (`vine-store`), swept
+//! across shard counts and tenant-population sizes. See DESIGN.md §13.
 //!
 //! Each cell of the sweep builds a [`ShardedFacility`] (store enabled,
 //! work stealing on), drives it with the seeded multi-tenant load
@@ -10,7 +8,7 @@
 //! [`ShardedReport::digest`]s are bit-identical — the lockstep replay
 //! guarantee. The per-cell rows land in `results/shards.csv`.
 //!
-//! The binary exits non-zero unless
+//! The experiment fails (panics) unless
 //!
 //! * shards=1 with the store disabled is **byte-identical** to the
 //!   plain single-[`Facility`] path on the same submissions,
@@ -24,11 +22,13 @@
 //! `scripts/bench_gate.sh` to compare across two process invocations
 //! and against the committed baseline.
 
-use vine_bench::report;
 use vine_serve::{
     Facility, FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
 };
 use vine_store::{ShardCounters, StoreConfig};
+
+use super::Fig;
+use crate::report;
 
 const SEED: u64 = 42;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -141,17 +141,11 @@ struct Row {
     digest: u64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-    let max_tenants = args
-        .iter()
-        .position(|a| a == "--max-tenants")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
+/// `vine-fig fig-shards [--gate] [--max-tenants N]`.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let max_tenants = fig.value("--max-tenants").unwrap_or(usize::MAX);
 
-    if gate {
+    if fig.flag("--gate") {
         // The CI cell: smallest population, shards=4, two in-process
         // replays. scripts/bench_gate.sh runs the whole binary twice
         // and additionally compares the printed digests across
@@ -170,7 +164,7 @@ fn main() {
             a.digest(),
             a.warm_hit_ratio()
         );
-        return;
+        return Ok(());
     }
 
     eprintln!("fig-shards: federation sweep (shards x tenants), seed {SEED} ...");
@@ -269,4 +263,5 @@ fn main() {
         )
     );
     println!("All cells replayed bit-identically; warm-hit flat across shard counts.");
+    Ok(())
 }

@@ -1,8 +1,6 @@
-//! fig-stream — streaming partial results and convergence-based early
-//! stop on DV3-Small under the `stragglers` chaos preset. See
-//! DESIGN.md §11.
-//!
-//! Usage: fig-stream `[scale_down]` (default 4)
+//! Streaming partial results and convergence-based early stop
+//! (`vine-fig fig-stream`) on DV3-Small under the `stragglers` chaos
+//! preset. See DESIGN.md §11.
 //!
 //! For each convergence threshold the workload runs once with a
 //! [`ConvergenceObserver`] attached; the baseline row runs with no
@@ -10,10 +8,10 @@
 //! partitions streamed, how many queued tasks the early stop withdrew,
 //! and the core-seconds (total task busy time) saved versus baseline.
 //!
-//! Writes `results/stream.csv` and exits non-zero unless
+//! Writes `results/stream.csv` and fails unless
 //!
 //! * some threshold saves **≥ 20 %** core-seconds while still
-//!   completing (the ISSUE 6 acceptance gate),
+//!   completing,
 //! * every run's partial snapshots are monotone (bin counts never
 //!   shrink as the fraction grows), and
 //! * threshold `1.0` matches the no-observer baseline exactly
@@ -21,10 +19,12 @@
 //!   result bit-for-bit.
 
 use vine_analysis::{ConvergenceObserver, WorkloadSpec};
-use vine_bench::report;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, FaultPlan, RunRequest, RunResult};
 use vine_data::{decode_histogram_set, fnv1a64, STREAM_HIST};
+
+use super::Fig;
+use crate::report;
 
 const WORKERS: usize = 6;
 const SEED: u64 = 42;
@@ -87,11 +87,9 @@ fn busy_secs(r: &RunResult) -> f64 {
     r.stats.total_task_busy_us as f64 / 1e6
 }
 
-fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+/// `vine-fig fig-stream [scale_down]` (default 4).
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0);
     eprintln!(
         "Streaming early-stop on DV3-Small at scale 1/{scale}, {WORKERS} workers, stragglers preset ..."
     );
@@ -197,11 +195,11 @@ fn main() {
         SAVINGS_GATE * 100.0
     );
     if best_saving < SAVINGS_GATE {
-        eprintln!(
+        return Err(format!(
             "FAIL: early stop saved only {:.1}% core-seconds (< {:.0}%)",
             best_saving * 100.0,
             SAVINGS_GATE * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
+    Ok(())
 }

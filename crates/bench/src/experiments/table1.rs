@@ -14,6 +14,9 @@ use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunRequest, RunResult};
 
+use super::{dv3_large_stacks, Fig};
+use crate::report;
+
 /// One measured row of Table I.
 #[derive(Clone, Debug)]
 pub struct StackRow {
@@ -77,6 +80,43 @@ pub fn run(seed: u64, scale_down: usize) -> Vec<StackRow> {
         });
     }
     rows
+}
+
+/// `vine-fig table1 [scale_down]` (default 1 = paper scale: 17 000
+/// tasks, 200 × 12-core workers; e.g. 10 runs a 1/10-size
+/// configuration). Records the Stack 4 run.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let scale = fig.num(0).max(1);
+    eprintln!("Table I: DV3-Large stack evolution (scale 1/{scale}) ...");
+    let runs = dv3_large_stacks("table1", scale, &[1, 2, 3, 4], &[4]);
+    fig.preflight(&runs);
+    let rows = run(42, scale);
+    let header = [
+        "Stack",
+        "Change",
+        "Runtime",
+        "Speedup",
+        "Paper Runtime",
+        "Paper Speedup",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                format!("Stack {}", r.stack),
+                r.change.to_string(),
+                format!("{:.0}s", r.runtime_s),
+                format!("{:.2}x", r.speedup),
+                format!("{:.0}s", r.paper_runtime_s),
+                format!("{:.2}x", r.paper_speedup),
+            ]
+        })
+        .collect();
+    println!("\nTABLE I: Overall Stack Performance (measured vs paper)\n");
+    println!("{}", report::render_table(&header, &data));
+    report::write_csv("table1.csv", &report::to_csv(&header, &data));
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 use vine_analysis::WorkloadSpec;
 use vine_simcore::units::fmt_bytes;
 
+use super::{EngineRun, Fig};
+use crate::report;
+
 /// One row of Table II, measured from the generated graph.
 #[derive(Clone, Debug)]
 pub struct WorkloadRow {
@@ -52,9 +55,51 @@ pub fn run() -> Vec<WorkloadRow> {
         .collect()
 }
 
-/// Render a size for display.
-pub fn fmt_size(bytes: u64) -> String {
-    fmt_bytes(bytes)
+/// `vine-fig table2`. Table II needs no engine runs; the observability
+/// flags record one DV3-Small reference run.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    let runs = vec![EngineRun::new(
+        "table2-dv3small",
+        vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(5), 42),
+        WorkloadSpec::dv3_small().to_graph(),
+    )
+    .recorded()];
+    fig.preflight(&runs);
+    let rows = run();
+    let header = [
+        "Application",
+        "Input",
+        "Tasks",
+        "Process",
+        "Accum",
+        "Datasets",
+        "Chunk",
+        "Intermediates",
+        "Depth",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.to_string(),
+                fmt_bytes(r.input_bytes),
+                r.total_tasks.to_string(),
+                r.process_tasks.to_string(),
+                r.accum_tasks.to_string(),
+                r.datasets.to_string(),
+                fmt_bytes(r.chunk_bytes),
+                fmt_bytes(r.intermediate_bytes),
+                r.critical_path.to_string(),
+            ]
+        })
+        .collect();
+    println!("\nTABLE II: Application workloads (generated graphs)\n");
+    println!("{}", report::render_table(&header, &data));
+    println!("Paper: DV3-Large = 17K tasks / 1.2 TB; DV3-Huge = 185K tasks / 1.2 TB;");
+    println!("       RS-TriPhoton = 4K tasks / 500 GB; Small/Medium = 25 GB / 200 GB.");
+    report::write_csv("table2.csv", &report::to_csv(&header, &data));
+    fig.record(runs);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -86,5 +131,13 @@ mod tests {
 
         // Intermediates exceed input for DV3-Large (§III).
         assert!(large.intermediate_bytes > TB);
+    }
+
+    #[test]
+    fn every_table2_graph_is_structurally_clean() {
+        for spec in WorkloadSpec::table2() {
+            let report = vine_lint::lint_graph(&spec.to_graph());
+            assert!(report.is_clean(), "{}: {:?}", spec.name, report);
+        }
     }
 }

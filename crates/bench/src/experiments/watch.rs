@@ -1,8 +1,6 @@
-//! fig-watch — reactive recomputation for standing analyses over a
-//! growing dataset, swept across growth-event counts × trigger
+//! Reactive recomputation for standing analyses over a growing dataset
+//! (`vine-fig fig-watch`), swept across growth-event counts × trigger
 //! policies. See DESIGN.md §14.
-//!
-//! Usage: fig-watch `[--gate]`
 //!
 //! Each cell registers one standing DV3-Small submission against a warm
 //! facility, then plays a fixed growth timeline (partition appends
@@ -11,24 +9,25 @@
 //! the two session reports are bit-identical — the replay guarantee.
 //! Rows land in `results/watch.csv`.
 //!
-//! The binary exits non-zero unless
+//! The experiment fails unless
 //!
 //! * every cell replays with a bit-identical report digest,
 //! * every cell's final served estimate is **bit-identical** to a cold
 //!   full recompute of the final epoch's graph on a fresh facility, and
 //! * the batched-growth preset saves **≥ 60 %** of task executions
-//!   versus cold re-running the whole graph at every refresh (the
-//!   ISSUE 9 acceptance gate).
+//!   versus cold re-running the whole graph at every refresh.
 //!
 //! `--gate` runs only the CI cell (the batched-growth preset, seed 42)
 //! and prints `digest=<hex> saved=<ratio>` for `scripts/bench_gate.sh`
 //! to compare across two process invocations.
 
 use vine_analysis::{StreamAccumulator, WorkloadSpec};
-use vine_bench::report;
 use vine_core::{ObserverControl, PartialUpdate, RunObserver};
 use vine_serve::{Facility, FacilityConfig};
 use vine_watch::{GraphTemplate, StandingSubmission, TriggerPolicy, WatchSession};
+
+use super::Fig;
+use crate::report;
 
 const SEED: u64 = 42;
 const SCALE: usize = 20;
@@ -136,11 +135,9 @@ fn saved_ratio(c: &Cell) -> f64 {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate");
-
-    if gate {
+/// `vine-fig fig-watch [--gate]`.
+pub fn main(fig: &Fig) -> Result<(), String> {
+    if fig.flag("--gate") {
         // The CI cell: batched growth, replayed twice in-process; the
         // printed digest is compared across two whole-process runs by
         // scripts/bench_gate.sh and the watch-gate CI job.
@@ -158,10 +155,11 @@ fn main() {
         let saved = saved_ratio(&a);
         println!("digest={:016x} saved={:.6}", a.report_digest, saved);
         if saved < SAVED_GATE {
-            eprintln!("FAIL: reactive path saved only {saved:.3} (< {SAVED_GATE})");
-            std::process::exit(1);
+            return Err(format!(
+                "FAIL: reactive path saved only {saved:.3} (< {SAVED_GATE})"
+            ));
         }
-        return;
+        return Ok(());
     }
 
     eprintln!("Standing DV3-Small at scale 1/{SCALE}: growth events x trigger policies ...");
@@ -223,11 +221,11 @@ fn main() {
         SAVED_GATE * 100.0
     );
     if worst_batched_saving < SAVED_GATE {
-        eprintln!(
+        return Err(format!(
             "FAIL: batched reactive refresh saved only {:.1}% (< {:.0}%)",
             worst_batched_saving * 100.0,
             SAVED_GATE * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
+    Ok(())
 }

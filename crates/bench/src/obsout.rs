@@ -1,10 +1,10 @@
-//! Shared `--trace-out` / `--metrics` plumbing for every bench binary.
+//! Shared `--trace-out` / `--metrics` plumbing for `vine-fig` and
+//! `vine-sim`.
 //!
-//! Each binary strips the observability flags with [`ObsCli::parse`] and,
-//! when they are present, records one representative run with
-//! [`ObsCli::export_engine_run`]: the engine executes with a
-//! [`MemoryRecorder`] attached and the artifacts land under the trace
-//! directory —
+//! Both strip the observability flags with [`ObsCli::from_args`] and,
+//! when they are present, record runs with a [`MemoryRecorder`] attached
+//! (`vine-fig` records each experiment's marked runs) and write the
+//! artifacts with [`ObsCli::export`] under the trace directory —
 //!
 //! * `<label>.trace.json` — Chrome `trace_event` JSON (open in Perfetto
 //!   or `chrome://tracing`),
@@ -17,11 +17,10 @@
 
 use std::path::{Path, PathBuf};
 
-use vine_core::{EngineConfig, RunRequest, RunResult};
-use vine_dag::TaskGraph;
+use vine_core::RunResult;
 use vine_obs::{chrome, csv, MemoryRecorder, MetricsRegistry};
 
-/// Observability flags shared by the bench binaries, plus the untouched
+/// Observability flags shared by `vine-fig` and `vine-sim`, plus the untouched
 /// remainder of the command line.
 #[derive(Clone, Debug, Default)]
 pub struct ObsCli {
@@ -35,13 +34,8 @@ pub struct ObsCli {
 }
 
 impl ObsCli {
-    /// Strip `--trace-out DIR` and `--metrics` from the process arguments.
-    /// Exits with a usage error if `--trace-out` lacks a value.
-    pub fn parse() -> ObsCli {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Same, from an explicit argument list (tests).
+    /// Strip `--trace-out DIR` and `--metrics` from `args`. Exits with a
+    /// usage error if `--trace-out` lacks a value.
     pub fn from_args(args: impl Iterator<Item = String>) -> ObsCli {
         let mut cli = ObsCli::default();
         let mut it = args;
@@ -61,38 +55,9 @@ impl ObsCli {
         cli
     }
 
-    /// The customary first positional argument of the fig binaries
-    /// (scale-down factor), default 1.
-    pub fn scale(&self) -> usize {
-        self.rest
-            .first()
-            .and_then(|s| s.parse().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1)
-    }
-
     /// True when any observability output was requested.
     pub fn enabled(&self) -> bool {
         self.trace_dir.is_some() || self.metrics
-    }
-
-    /// Record one run of `(cfg, graph)` and export the requested
-    /// artifacts. Returns the result so callers can reuse it, or `None`
-    /// when no observability flag was given (nothing runs).
-    pub fn export_engine_run(
-        &self,
-        label: &str,
-        mut cfg: EngineConfig,
-        graph: TaskGraph,
-    ) -> Option<RunResult> {
-        if !self.enabled() {
-            return None;
-        }
-        cfg.trace.obs = true;
-        let mut rec = MemoryRecorder::new();
-        let result = RunRequest::new(cfg, graph).recorder(&mut rec).run();
-        self.export(label, &rec, &result);
-        Some(result)
     }
 
     /// Write the artifacts for an already-recorded run.
@@ -121,6 +86,18 @@ impl ObsCli {
                 Some(dir) => write_file(dir, label, "metrics.txt", &text),
                 None => print!("{text}"),
             }
+        }
+    }
+}
+
+/// Print `title` and the digest diff from the first to the second of two
+/// recorded runs: which phases a configuration change moved. Prints
+/// nothing unless both runs carry obs digests.
+pub fn print_digest_diff(title: &str, runs: &[RunResult]) {
+    if let [a, b] = runs {
+        if let (Some(oa), Some(ob)) = (&a.obs, &b.obs) {
+            println!("\n{title}");
+            print!("{}", oa.digest.diff(&ob.digest).to_text());
         }
     }
 }
@@ -180,7 +157,6 @@ mod tests {
         assert_eq!(cli.trace_dir.as_deref(), Some(Path::new("/tmp/t")));
         assert!(cli.metrics);
         assert_eq!(cli.rest, vec!["10".to_string(), "x".to_string()]);
-        assert_eq!(cli.scale(), 10);
         assert!(cli.enabled());
     }
 
@@ -188,13 +164,12 @@ mod tests {
     fn defaults_are_off() {
         let cli = ObsCli::from_args(args(&["3"]));
         assert!(!cli.enabled());
-        assert_eq!(cli.scale(), 3);
-        assert!(ObsCli::from_args(args(&[])).scale() == 1);
+        assert_eq!(cli.rest, ["3"]);
     }
 
     #[test]
     fn metrics_registry_round_trips() {
-        use vine_core::EngineConfig;
+        use vine_core::{EngineConfig, RunRequest};
         let cluster = vine_cluster::ClusterSpec::standard(2);
         let cfg = EngineConfig::stack(4, cluster, 7)
             .deterministic()

@@ -1,20 +1,14 @@
 //! Console tables and CSV output for experiment results.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Directory experiment binaries write CSVs into (relative to the
-/// invocation directory).
-pub fn results_dir() -> PathBuf {
-    PathBuf::from("results")
-}
-
-/// Write `contents` to `results/<name>`, creating the directory. Prints
-/// the path written. Errors are reported, not fatal — the console output
-/// is the primary artifact.
+/// Write `contents` to `results/<name>` (relative to the invocation
+/// directory), creating the directory. Prints the path written. Errors
+/// are reported, not fatal — the console output is the primary artifact.
 pub fn write_csv(name: &str, contents: &str) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    let dir = Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
@@ -75,11 +69,6 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// True if `path` exists (used by tests).
-pub fn exists(path: &Path) -> bool {
-    path.exists()
 }
 
 #[cfg(test)]

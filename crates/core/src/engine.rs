@@ -33,7 +33,6 @@ use vine_obs::{
     CriticalPath, FigureRecorder, NullRecorder, Phase, PhaseBreakdown, Recorder, RunDigest, RunObs,
     TaskAttribution,
 };
-use vine_simcore::trace::TimeSeries;
 use vine_simcore::{EventId, EventQueue, RngHub, SimDur, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 
@@ -180,13 +179,7 @@ fn failed_result(reason: &str, graph: &TaskGraph) -> RunResult {
             tasks_total: graph.task_count(),
             ..RunStats::default()
         },
-        running_series: TimeSeries::new(),
-        waiting_series: TimeSeries::new(),
-        gantt: None,
-        transfers: None,
-        cache_series: None,
-        task_time_hist: None,
-        cache_failures: Vec::new(),
+        figures: vine_obs::FigureSinks::default(),
         lint_findings: Vec::new(),
         obs: None,
     }
@@ -1156,18 +1149,11 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 digest,
             }
         });
-        let sinks = self.figures.into_sinks();
         RunResult {
             outcome,
             makespan,
             stats: self.stats,
-            running_series: sinks.running_series,
-            waiting_series: sinks.waiting_series,
-            gantt: sinks.gantt,
-            transfers: sinks.transfers,
-            cache_series: sinks.cache_series,
-            task_time_hist: sinks.task_time_hist,
-            cache_failures: sinks.cache_failures,
+            figures: self.figures.into_sinks(),
             lint_findings: Vec::new(),
             obs,
         }

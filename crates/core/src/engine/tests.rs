@@ -59,7 +59,7 @@ fn workqueue_routes_all_bytes_through_manager() {
     let r = RunRequest::new(cfg, small_graph(12, 10 * MB, MB)).run();
     assert!(r.completed());
     // No worker→worker transfers under Work Queue.
-    let m = r.transfers.unwrap();
+    let m = r.figures.transfers.unwrap();
     for s in 1..=3 {
         for d in 1..=3 {
             assert_eq!(m.get(s, d), 0, "peer transfer under WQ: {s}->{d}");
@@ -351,7 +351,7 @@ fn gantt_trace_records_worker_activity() {
         .deterministic()
         .with_full_traces();
     let r = RunRequest::new(cfg, small_graph(24, 10 * MB, MB)).run();
-    let g = r.gantt.unwrap();
+    let g = r.figures.gantt.unwrap();
     assert!(g.entity_count() >= 2, "work not spread over workers");
     assert_eq!(g.intervals().len(), 25);
 }
@@ -362,8 +362,8 @@ fn running_series_peaks_at_cluster_width_or_less() {
     let cfg = EngineConfig::stack4(cluster, 2).deterministic();
     let r = RunRequest::new(cfg, small_graph(100, MB, MB)).run();
     assert!(r.completed());
-    assert!(r.running_series.max_value() <= 24.0);
-    assert!(r.running_series.max_value() > 0.0);
+    assert!(r.figures.running_series.max_value() <= 24.0);
+    assert!(r.figures.running_series.max_value() > 0.0);
 }
 
 #[test]

@@ -53,8 +53,8 @@ proptest! {
         let r = RunRequest::new(cfg, g).run();
         prop_assert!(r.completed(), "stack {} failed: {:?}", stack, r.outcome);
         prop_assert_eq!(r.stats.task_executions, total as u64);
-        prop_assert!(r.running_series.max_value() <= (workers * 12) as f64);
-        prop_assert_eq!(r.waiting_series.last().map(|(_, v)| v), Some(0.0));
+        prop_assert!(r.figures.running_series.max_value() <= (workers * 12) as f64);
+        prop_assert_eq!(r.figures.waiting_series.last().map(|(_, v)| v), Some(0.0));
     }
 
     /// Identical configuration => identical result, for every stack.

@@ -359,16 +359,6 @@ impl HistogramSet {
         self.h2.get(name)
     }
 
-    /// Mutably borrow a 1-D histogram.
-    pub fn h1_mut(&mut self, name: &str) -> Option<&mut Hist1D> {
-        self.h1.get_mut(name)
-    }
-
-    /// Mutably borrow a 2-D histogram.
-    pub fn h2_mut(&mut self, name: &str) -> Option<&mut Hist2D> {
-        self.h2.get_mut(name)
-    }
-
     /// Names of all 1-D histograms, sorted.
     pub fn h1_names(&self) -> impl Iterator<Item = &str> {
         self.h1.keys().map(|s| s.as_str())

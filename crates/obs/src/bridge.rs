@@ -27,7 +27,8 @@ use crate::span::{category, counter, InstantEvent, Span};
 pub const CACHE_OVERFLOW: &str = "cache.overflow";
 
 /// The figure sinks a run hands back, in the shape `RunResult` carries.
-#[derive(Clone, Debug)]
+/// The default is the empty set a run that never started reports.
+#[derive(Clone, Debug, Default)]
 pub struct FigureSinks {
     /// Tasks-running step series (Figs 12, 15).
     pub running_series: TimeSeries,
@@ -78,11 +79,6 @@ impl FigureRecorder {
     /// Finish recording and hand back the sinks.
     pub fn into_sinks(self) -> FigureSinks {
         self.sinks
-    }
-
-    /// Borrow the sinks mid-run (tests, progress probes).
-    pub fn sinks(&self) -> &FigureSinks {
-        &self.sinks
     }
 
     /// True if task spans feed an enabled sink (Gantt or histogram) —

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::recorder::{CounterSample, MemoryRecorder};
+use crate::recorder::MemoryRecorder;
 use crate::span::{AttrValue, MANAGER_TRACK};
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -163,15 +163,6 @@ pub fn to_chrome_json(rec: &MemoryRecorder) -> String {
 
     out.push_str("]}");
     out
-}
-
-/// Convenience: the counter samples of one named counter, time-ordered
-/// as recorded.
-pub fn counter_samples<'a>(
-    rec: &'a MemoryRecorder,
-    name: &'a str,
-) -> impl Iterator<Item = &'a CounterSample> {
-    rec.counters().iter().filter(move |c| c.name == name)
 }
 
 #[cfg(test)]

@@ -4,26 +4,15 @@
 //! reproducibility, because scheduler decisions (task placement, peer
 //! transfer throttling) depend on the order ready events are observed.
 //!
-//! Two implementations share the same contract:
-//!
-//! * [`EventQueue`] — a hierarchical *calendar queue*: a sorted drain buffer
-//!   for the imminent bucket, a ring of unsorted future buckets (sorted only
-//!   when a bucket activates), and an overflow list that re-primes the ring
-//!   when it runs dry. Schedule and cancel are O(1) for the common
-//!   near-future case; cancellation marks a dense per-id state byte instead
-//!   of hashing, which matters because network flow completions are
-//!   rescheduled every time bandwidth shares change.
-//! * [`BinaryHeapQueue`] — the original single binary heap, kept as the
-//!   A/B reference for the `event_queue` microbenchmark.
-//!
-//! Both pop in exact global `(time, id)` order, so swapping one for the
-//! other is observationally invisible to a deterministic engine.
-
-use std::cmp::Ordering;
-// vine-audit: allow-file(A101) -- pending/cancelled in BinaryHeapQueue are
-// membership probes only; nothing ever iterates them, so hash order cannot
-// escape. The calendar queue uses a dense state array instead.
-use std::collections::{BinaryHeap, HashSet};
+//! [`EventQueue`] is a hierarchical *calendar queue*: a sorted drain buffer
+//! for the imminent bucket, a ring of unsorted future buckets (sorted only
+//! when a bucket activates), and an overflow list that re-primes the ring
+//! when it runs dry. Schedule and cancel are O(1) for the common
+//! near-future case; cancellation marks a dense per-id state byte instead
+//! of hashing, which matters because network flow completions are
+//! rescheduled every time bandwidth shares change. It pops in exact global
+//! `(time, id)` order; the bench crate keeps the original binary heap as
+//! the reference it is tested and benchmarked against.
 
 use crate::time::SimTime;
 
@@ -236,124 +225,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-struct Entry<E> {
-    time: SimTime,
-    id: EventId,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, id) pops
-        // first. EventIds are monotone, giving FIFO order within a timestamp.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// The original single-`BinaryHeap` queue with hash-set cancellation.
-///
-/// Kept as the reference implementation for the `event_queue`
-/// microbenchmark; the engine runs on [`EventQueue`].
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Ids scheduled but not yet fired or cancelled.
-    pending: HashSet<EventId>,
-    /// Ids cancelled but whose heap entry has not yet been discarded.
-    cancelled: HashSet<EventId>,
-    next_id: u64,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_id: 0,
-        }
-    }
-
-    /// Schedule `payload` to fire at `time`. Returns a handle for
-    /// cancellation.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.heap.push(Entry { time, id, payload });
-        self.pending.insert(id);
-        id
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. had not fired and was not already cancelled).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remove and return the earliest live event as `(time, payload)`.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            self.pending.remove(&entry.id);
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// The timestamp of the earliest live event, without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled entries off the front so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
-    }
-
-    /// Number of live (pending, non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,49 +355,5 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime::from_micros(us), i)));
         }
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn calendar_matches_binary_heap_reference() {
-        // Deterministic pseudo-random workload of interleaved schedule,
-        // cancel, and pop against both queues; sequences must be identical.
-        let mut cal = EventQueue::new();
-        let mut heap = BinaryHeapQueue::new();
-        let mut ids_c = Vec::new();
-        let mut ids_h = Vec::new();
-        let mut x: u64 = 0x243F_6A88_85A3_08D3;
-        let mut popped = Vec::new();
-        let mut expected = Vec::new();
-        for step in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match x % 10 {
-                0..=5 => {
-                    // Cluster most times near a moving "now", with a long tail.
-                    let us = step * 3 + x % 1000 + if x.is_multiple_of(97) { 1_000_000 } else { 0 };
-                    ids_c.push(cal.schedule(SimTime::from_micros(us), step));
-                    ids_h.push(heap.schedule(SimTime::from_micros(us), step));
-                }
-                6..=7 => {
-                    if !ids_c.is_empty() {
-                        let k = (x as usize / 16) % ids_c.len();
-                        assert_eq!(cal.cancel(ids_c[k]), heap.cancel(ids_h[k]));
-                    }
-                }
-                _ => {
-                    assert_eq!(cal.peek_time(), heap.peek_time());
-                    popped.push(cal.pop());
-                    expected.push(heap.pop());
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-        }
-        while let Some(e) = heap.pop() {
-            expected.push(Some(e));
-            popped.push(cal.pop());
-        }
-        assert_eq!(cal.pop(), None);
-        assert_eq!(popped, expected);
     }
 }

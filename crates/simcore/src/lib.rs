@@ -27,6 +27,6 @@ pub mod trace;
 pub mod units;
 
 pub use dist::Dist;
-pub use event::{BinaryHeapQueue, EventId, EventQueue};
+pub use event::{EventId, EventQueue};
 pub use rng::RngHub;
 pub use time::{SimDur, SimTime};

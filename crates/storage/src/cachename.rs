@@ -47,11 +47,6 @@ impl CacheName {
             &[dataset.as_bytes(), &file_index.to_le_bytes()],
         )
     }
-
-    /// The raw 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
 }
 
 impl fmt::Debug for CacheName {

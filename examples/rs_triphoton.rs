@@ -73,6 +73,7 @@ fn main() {
         cfg.trace.cache = true;
         let r = RunRequest::new(cfg, spec.to_graph()).run();
         let peak = r
+            .figures
             .cache_series
             .as_ref()
             .map(|s| s.iter().map(|ts| ts.max_value() as u64).max().unwrap_or(0))

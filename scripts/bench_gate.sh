@@ -46,7 +46,7 @@ if [ ! -s "$BASELINE" ]; then
   exit 1
 fi
 
-cargo build --release -p vine-bench --bin vine-sim
+cargo build --release -p vine-bench --bin vine-sim --bin vine-fig
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -176,27 +176,25 @@ else
 fi
 
 # Streaming gate 2: convergence early stop must save >= 20% core-seconds
-# on the stragglers preset (fig-stream exits non-zero otherwise, and also
+# on the stragglers preset (vine-fig fig-stream exits non-zero otherwise, and also
 # asserts monotone partials and threshold-1.0 == baseline).
-cargo build --release -p vine-bench --bin fig-stream
-./target/release/fig-stream
+./target/release/vine-fig fig-stream
 echo "stream gate: early-stop saving >= 20%"
 
 # Shard gate (ISSUE 8): the federated facility's CI cell (shards=4,
 # 1000 tenants, seed 42) must replay bit-identically across two process
 # invocations, and its warm-hit ratio must stay within 2% of the
-# committed baseline (results/shards_gate.txt). fig-shards --gate also
+# committed baseline (results/shards_gate.txt). `fig-shards --gate` also
 # replays the cell twice in-process and asserts digest equality itself.
 # To refresh the baseline after an intentional change:
-#   ./target/release/fig-shards --gate > results/shards_gate.txt
+#   ./target/release/vine-fig fig-shards --gate > results/shards_gate.txt
 SHARD_BASELINE=results/shards_gate.txt
 if [ ! -s "$SHARD_BASELINE" ]; then
   echo "shard gate: no baseline at $SHARD_BASELINE" >&2
   exit 1
 fi
-cargo build --release -p vine-bench --bin fig-shards
-a=$(./target/release/fig-shards --gate)
-b=$(./target/release/fig-shards --gate)
+a=$(./target/release/vine-fig fig-shards --gate)
+b=$(./target/release/vine-fig fig-shards --gate)
 echo "shard gate: $a"
 if [ "${a%% *}" != "${b%% *}" ]; then
   echo "shard gate: digests differ across process invocations" >&2
@@ -221,15 +219,14 @@ awk -v new="$wh_new" -v old="$wh_old" 'BEGIN {
 # save >= 60% of task executions vs cold re-runs. The saved ratio must
 # also stay within 2% of the committed baseline (results/watch_gate.txt).
 # To refresh the baseline after an intentional change:
-#   ./target/release/fig-watch --gate > results/watch_gate.txt
+#   ./target/release/vine-fig fig-watch --gate > results/watch_gate.txt
 WATCH_BASELINE=results/watch_gate.txt
 if [ ! -s "$WATCH_BASELINE" ]; then
   echo "watch gate: no baseline at $WATCH_BASELINE" >&2
   exit 1
 fi
-cargo build --release -p vine-bench --bin fig-watch
-a=$(./target/release/fig-watch --gate)
-b=$(./target/release/fig-watch --gate)
+a=$(./target/release/vine-fig fig-watch --gate)
+b=$(./target/release/vine-fig fig-watch --gate)
 echo "watch gate: $a"
 if [ "${a%% *}" != "${b%% *}" ]; then
   echo "watch gate: digests differ across process invocations" >&2

@@ -45,7 +45,7 @@ fn data_paths_differ_by_scheduler() {
 #[test]
 fn transfer_matrix_is_consistent_with_stats() {
     let tv = run_stack(3, 9);
-    let m = tv.transfers.as_ref().expect("transfers traced");
+    let m = tv.figures.transfers.as_ref().expect("transfers traced");
     // Peer bytes in stats equal the worker-to-worker cells of the matrix.
     let n_workers = 10;
     let mut peer = 0u64;
@@ -76,8 +76,8 @@ fn runs_are_deterministic_per_seed() {
 fn timeline_series_are_sane() {
     let r = run_stack(4, 5);
     // Running concurrency never exceeds total cores.
-    assert!(r.running_series.max_value() <= 120.0);
+    assert!(r.figures.running_series.max_value() <= 120.0);
     // Waiting starts with (almost) the whole map phase and ends at zero.
-    assert!(r.waiting_series.max_value() >= 700.0);
-    assert_eq!(r.waiting_series.last().map(|(_, v)| v), Some(0.0));
+    assert!(r.figures.waiting_series.max_value() >= 700.0);
+    assert_eq!(r.figures.waiting_series.last().map(|(_, v)| v), Some(0.0));
 }
