@@ -11,7 +11,7 @@
 //! the deterministic metrics export in `results/facility_metrics.txt`.
 
 use vine_analysis::WorkloadSpec;
-use vine_serve::{Facility, FacilityConfig, LoadGen};
+use vine_serve::{FacilityConfig, LoadGen, ShardedFacility};
 
 use super::{EngineRun, Fig};
 use crate::report;
@@ -44,7 +44,8 @@ pub fn main(fig: &Fig) -> Result<(), String> {
     fig.preflight(&runs);
 
     // ---- Part 1: cold → warm → edited, one analyst ------------------
-    let mut facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is clean");
+    let mut facility =
+        ShardedFacility::new(FacilityConfig::demo(seed).into()).expect("demo config is clean");
     for d in facility.preflight().diagnostics() {
         eprintln!("  preflight: {d}");
     }
@@ -88,12 +89,13 @@ pub fn main(fig: &Fig) -> Result<(), String> {
         scale_down: scale.max(20),
         ..LoadGen::default()
     };
-    let mut facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is clean");
+    let mut facility =
+        ShardedFacility::new(FacilityConfig::demo(seed).into()).expect("demo config is clean");
     let subs = loadgen.generate(2, seed);
     let n = subs.len();
     eprintln!("  driving {n} submissions from 2 tenants ...");
     facility.ingest(subs);
-    let rep = facility.drain();
+    let rep = facility.drain().shards.remove(0);
 
     let header = [
         "Tenant",

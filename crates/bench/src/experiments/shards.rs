@@ -10,8 +10,6 @@
 //!
 //! The experiment fails (panics) unless
 //!
-//! * shards=1 with the store disabled is **byte-identical** to the
-//!   plain single-[`Facility`] path on the same submissions,
 //! * every cell replays with a bit-identical digest, and
 //! * for every tenant population, the warm-hit ratio at shards=8 stays
 //!   within 5 % (relative) of shards=1 — the shared tier must make a
@@ -23,7 +21,7 @@
 //! and against the committed baseline.
 
 use vine_serve::{
-    Facility, FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
+    FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
 };
 use vine_store::{ShardCounters, StoreConfig};
 
@@ -40,7 +38,7 @@ const TENANT_SWEEP: [(usize, usize, usize); 3] =
     [(1_000, 2, 40), (10_000, 1, 80), (100_000, 1, 160)];
 
 /// The federation template for one cell.
-fn config(n_tenants: usize, shards: usize, seed: u64, store: bool) -> ShardedConfig {
+fn config(n_tenants: usize, shards: usize, seed: u64) -> ShardedConfig {
     let mut base = FacilityConfig::demo(seed);
     let slice = base.run_cores() as u32;
     let disk = base.cluster.worker.disk_bytes * base.cluster.workers as u64;
@@ -54,7 +52,7 @@ fn config(n_tenants: usize, shards: usize, seed: u64, store: bool) -> ShardedCon
     ShardedConfig {
         base,
         shards,
-        store: store.then(StoreConfig::demo),
+        store: Some(StoreConfig::demo()),
         work_stealing: true,
     }
 }
@@ -83,7 +81,7 @@ fn run_cell(
     shards: usize,
 ) -> (ShardedReport, ShardCounters) {
     let mut fed =
-        ShardedFacility::new(config(n_tenants, shards, SEED, true)).expect("sweep config is clean");
+        ShardedFacility::new(config(n_tenants, shards, SEED)).expect("sweep config is clean");
     fed.ingest(schedule(n_tenants, subs, scale, SEED));
     let totals = |fed: &ShardedFacility| {
         let mut t = ShardCounters::default();
@@ -103,30 +101,6 @@ fn run_cell(
     let rep = fed.drain();
     let t = totals(&fed);
     (rep, t)
-}
-
-/// The shards=1 degeneracy check: with the store disabled, the
-/// federation must be byte-identical to the plain facility event loop.
-fn assert_single_shard_identity(n_tenants: usize, subs: usize, scale: usize) {
-    let sharded_cfg = config(n_tenants, 1, SEED, false);
-    let mut plain =
-        Facility::new(sharded_cfg.base.clone()).expect("plain facility config is clean");
-    plain.ingest(schedule(n_tenants, subs, scale, SEED));
-    let baseline = plain.drain().to_csv();
-
-    let mut fed = ShardedFacility::new(ShardedConfig {
-        work_stealing: false,
-        ..sharded_cfg
-    })
-    .expect("single-shard config is clean");
-    fed.ingest(schedule(n_tenants, subs, scale, SEED));
-    let rep = fed.drain();
-    assert_eq!(
-        rep.shards[0].to_csv(),
-        baseline,
-        "a 1-shard storeless federation must degenerate to the plain facility"
-    );
-    eprintln!("  identity: shards=1 (store off) is byte-identical to the plain facility");
 }
 
 struct Row {
@@ -170,7 +144,6 @@ pub fn main(fig: &Fig) -> Result<(), String> {
     eprintln!("fig-shards: federation sweep (shards x tenants), seed {SEED} ...");
     let mut rows: Vec<Row> = Vec::new();
     for &(tenants, subs, scale) in TENANT_SWEEP.iter().filter(|(t, _, _)| *t <= max_tenants) {
-        assert_single_shard_identity(tenants, subs, scale);
         let mut warm_by_shards: Vec<(usize, f64)> = Vec::new();
         for shards in SHARD_COUNTS {
             // vine-audit: allow(A103) -- wall-time progress for the human at the terminal; cell results use only simulated time

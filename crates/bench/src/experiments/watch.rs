@@ -23,7 +23,7 @@
 
 use vine_analysis::{StreamAccumulator, WorkloadSpec};
 use vine_core::{ObserverControl, PartialUpdate, RunObserver};
-use vine_serve::{Facility, FacilityConfig};
+use vine_serve::{FacilityConfig, ShardedFacility};
 use vine_watch::{GraphTemplate, StandingSubmission, TriggerPolicy, WatchSession};
 
 use super::Fig;
@@ -71,11 +71,15 @@ struct Cell {
     report_digest: u64,
 }
 
+/// The single-pool demo facility.
+fn facility(seed: u64) -> ShardedFacility {
+    ShardedFacility::new(FacilityConfig::demo(seed).into()).expect("demo config is lint-clean")
+}
+
 /// One standing-analysis timeline: register, grow by `events` appends
 /// (one epoch each), two quiet epochs, one catch-up refresh.
 fn run_cell(trigger: TriggerPolicy, events: usize, seed: u64) -> Cell {
-    let facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is lint-clean");
-    let mut ws = WatchSession::new(facility, seed);
+    let mut ws = WatchSession::new(facility(seed), seed);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -116,10 +120,8 @@ fn cold_digest(events: usize, seed: u64) -> (u64, u64) {
     let template = GraphTemplate::new(spec());
     let graph = template.graph_at(&log, log.epoch());
     let tasks = graph.task_count() as u64;
-    let mut facility =
-        Facility::new(FacilityConfig::demo(seed)).expect("demo config is lint-clean");
     let mut obs = Collect(StreamAccumulator::new());
-    let record = facility.run_standing(0, graph, "cold-full", &mut obs);
+    let record = facility(seed).run_standing(0, graph, "cold-full", &mut obs, None);
     assert!(record.completed, "cold recompute must complete");
     (obs.0.digest(), tasks)
 }

@@ -1,5 +1,6 @@
 //! Facility reporting: per-submission records, per-tenant latency
-//! summaries, and deterministic exports.
+//! summaries, and deterministic exports (one [`FacilityReport`] per
+//! shard; [`crate::ShardedReport`] combines them).
 //!
 //! Everything here is a pure function of the records, and the records
 //! are deterministic given the facility seed — so [`FacilityReport::to_csv`]
@@ -11,7 +12,7 @@ use vine_obs::MetricsRegistry;
 
 use crate::facility::SubmissionRecord;
 
-/// The outcome of a facility session.
+/// The outcome of one shard's session.
 #[derive(Clone, Debug)]
 pub struct FacilityReport {
     /// Tenant names, in facility order.
@@ -22,7 +23,7 @@ pub struct FacilityReport {
     pub total_cores: u64,
     /// Highest sum of in-flight cores ever observed at an admission.
     pub peak_inflight_cores: u64,
-    /// Bytes resident across the facility's caches at report time.
+    /// Bytes resident across the shard's caches at report time.
     pub resident_bytes: u64,
 }
 
@@ -58,20 +59,27 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     v[rank - 1]
 }
 
+/// Fraction of the records' tasks satisfied from warm caches (local or
+/// store-prefetched). The sums are integers, so the ratio's bits do not
+/// depend on how the records are grouped or ordered.
+pub(crate) fn warm_hit_ratio<'a>(records: impl Iterator<Item = &'a SubmissionRecord>) -> f64 {
+    let (total, memo) = records.fold((0u64, 0u64), |(total, memo), r| {
+        (
+            total + r.stats.tasks_total as u64,
+            memo + r.stats.memoized_tasks,
+        )
+    });
+    if total == 0 {
+        0.0
+    } else {
+        memo as f64 / total as f64
+    }
+}
+
 impl FacilityReport {
     /// Fraction of all submitted tasks satisfied from warm caches.
     pub fn warm_hit_ratio(&self) -> f64 {
-        let total: u64 = self
-            .records
-            .iter()
-            .map(|r| r.stats.tasks_total as u64)
-            .sum();
-        let memo: u64 = self.records.iter().map(|r| r.stats.memoized_tasks).sum();
-        if total == 0 {
-            0.0
-        } else {
-            memo as f64 / total as f64
-        }
+        warm_hit_ratio(self.records.iter())
     }
 
     /// When the last run finished (facility clock), seconds.

@@ -1,12 +1,16 @@
-//! The federated facility: N independent [`Facility`] shards advanced in
-//! lockstep over a shared clock, backed by one shared content-addressed
-//! object tier ([`vine_store::ObjectStore`]).
+//! The facility: N ≥ 1 independent worker-pool shards advanced in
+//! lockstep over a shared clock, optionally backed by one shared
+//! content-addressed object tier ([`vine_store::ObjectStore`]).
 //!
 //! ## Model
 //!
 //! A production HEP facility is not one manager over one worker pool; it
 //! is several manager instances, each with its own pool, serving a common
-//! tenant population. This module federates the single-shard [`Facility`]:
+//! tenant population. A single pool is the N = 1 case:
+//! `ShardedFacility::new(FacilityConfig::demo(seed).into())` is one shard,
+//! no tier, no stealing. Each shard (the crate-private `facility::Shard`)
+//! does its own event processing — admission, writeback, quotas, store
+//! consults — and this module drives them all:
 //!
 //! * **Routing** — each tenant has a home shard chosen by rendezvous
 //!   (highest-random-weight) hashing over `(tenant name, shard index)`.
@@ -32,27 +36,29 @@
 //!   quota, so stealing can never launder a quota violation across
 //!   shards.
 //!
-//! A single-shard federation with no store degenerates to exactly the
-//! plain [`Facility`] event loop — byte-identical reports, which
-//! `tests/sharded.rs` pins.
+//! A single-shard federation with no store is the single-pool facility;
+//! `tests/sharded.rs` pins its report digest.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use vine_core::{FaultPlan, RecoveryPolicy, RunObserver};
+use vine_dag::TaskGraph;
 use vine_lint::{lint_sharded, Report, ShardFacts};
 use vine_simcore::SimTime;
 use vine_store::{ObjectStore, StoreConfig};
 
-use crate::facility::{Facility, FacilityConfig, SharedStore, Submission};
-use crate::report::{percentile, FacilityReport};
+use crate::facility::{ExternalHooks, FacilityConfig, Shard, Submission, SubmissionRecord};
+use crate::report::{percentile, warm_hit_ratio, FacilityReport};
+use crate::resultstore::ResultStore;
 
-/// Knobs for a federated facility.
+/// Knobs for a facility of one or more shards.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// The per-shard facility template: every shard runs this config
     /// (cluster, tenants, stack, seed) over its own worker pool.
     pub base: FacilityConfig,
-    /// Number of independent facility shards.
+    /// Number of independent worker-pool shards.
     pub shards: usize,
     /// The shared object tier; `None` leaves shards fully isolated
     /// (each still warm within itself, cold across shards).
@@ -82,6 +88,18 @@ impl ShardedConfig {
             store_bw: self.store.as_ref().map_or(0.0, |s| s.store_bw),
             shard_bw: self.store.as_ref().map_or(0.0, |s| s.shard_bw),
             work_stealing: self.work_stealing,
+        }
+    }
+}
+
+/// A single-pool facility: one shard, no shared tier, no stealing.
+impl From<FacilityConfig> for ShardedConfig {
+    fn from(base: FacilityConfig) -> Self {
+        ShardedConfig {
+            base,
+            shards: 1,
+            store: None,
+            work_stealing: false,
         }
     }
 }
@@ -126,7 +144,7 @@ pub fn assign_shard(tenant_name: &str, shards: usize) -> usize {
         .expect("non-empty shard range")
 }
 
-/// The outcome of a federated session: one report per shard plus the
+/// The outcome of a facility session: one report per shard plus the
 /// tier's final accounting.
 #[derive(Clone, Debug)]
 pub struct ShardedReport {
@@ -148,23 +166,7 @@ impl ShardedReport {
     /// Fraction of all submitted tasks satisfied from warm caches
     /// (local or store-prefetched), federation-wide.
     pub fn warm_hit_ratio(&self) -> f64 {
-        let total: u64 = self
-            .shards
-            .iter()
-            .flat_map(|s| &s.records)
-            .map(|r| r.stats.tasks_total as u64)
-            .sum();
-        let memo: u64 = self
-            .shards
-            .iter()
-            .flat_map(|s| &s.records)
-            .map(|r| r.stats.memoized_tasks)
-            .sum();
-        if total == 0 {
-            0.0
-        } else {
-            memo as f64 / total as f64
-        }
+        warm_hit_ratio(self.shards.iter().flat_map(|s| &s.records))
     }
 
     /// The `q`-th percentile of queue wait across every record, seconds.
@@ -176,15 +178,6 @@ impl ShardedReport {
             .map(|r| r.queue_wait().as_secs_f64())
             .collect();
         percentile(&waits, q)
-    }
-
-    /// Bytes pre-fetched out of the shared tier, federation-wide.
-    pub fn store_fetch_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| &s.records)
-            .map(|r| r.store_fetch_bytes)
-            .sum()
     }
 
     /// When the last run finished anywhere, seconds.
@@ -217,19 +210,22 @@ impl ShardedReport {
     }
 }
 
-/// The federated facility. See the module docs for the model.
+/// The facility: one or more shards driven in lockstep. See the module
+/// docs for the model.
 pub struct ShardedFacility {
     cfg: ShardedConfig,
-    facilities: Vec<Facility>,
+    shards: Vec<Shard>,
     store: Option<Rc<RefCell<ObjectStore>>>,
     preflight: Report,
     steals: u64,
 }
 
 impl ShardedFacility {
-    /// Build a federation, running the facility lints plus the sharding
-    /// lints (F006–F008) against the combined configuration. With
-    /// `base.enforce_preflight`, lint errors refuse service.
+    /// Build a facility, running the facility lints plus the sharding
+    /// lints (F006–F008) once against the combined configuration. With
+    /// `base.enforce_preflight`, a config with lint errors (no tenants,
+    /// zero weights, impossible quotas or slices, no shards, a broken
+    /// tier) is refused and the report returned as `Err`.
     pub fn new(cfg: ShardedConfig) -> Result<Self, Report> {
         let preflight = lint_sharded(&cfg.base.lint_facts(), &cfg.shard_facts());
         if cfg.base.enforce_preflight && preflight.has_errors() {
@@ -239,39 +235,22 @@ impl ShardedFacility {
             .store
             .as_ref()
             .map(|sc| Rc::new(RefCell::new(ObjectStore::new(sc.clone(), cfg.shards))));
-        let mut facilities = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let mut inner = cfg.base.clone();
-            // The shards' own lint pass already ran above.
-            inner.enforce_preflight = false;
-            let mut f = Facility::new(inner).expect("per-shard lints subsumed by lint_sharded");
-            f.federate(
-                store.as_ref().map(|tier| SharedStore {
-                    tier: Rc::clone(tier),
-                    shard,
-                }),
-                shard,
-                cfg.shards,
-            );
-            facilities.push(f);
-        }
+        let shards = (0..cfg.shards)
+            .map(|i| Shard::new(cfg.base.clone(), store.clone(), i, cfg.shards))
+            .collect();
         Ok(ShardedFacility {
             cfg,
-            facilities,
+            shards,
             store,
             preflight,
             steals: 0,
         })
     }
 
-    /// The combined pre-flight lint report.
+    /// The pre-flight lint report (warnings survive even when clean
+    /// enough to start).
     pub fn preflight(&self) -> &Report {
         &self.preflight
-    }
-
-    /// The shards, in index order.
-    pub fn shards(&self) -> &[Facility] {
-        &self.facilities
     }
 
     /// The shared tier, when configured.
@@ -294,86 +273,120 @@ impl ShardedFacility {
             let home = self.home_shard(s.tenant);
             per_shard[home].push(s);
         }
-        for (f, batch) in self.facilities.iter_mut().zip(per_shard) {
-            f.ingest(batch);
+        for (shard, batch) in self.shards.iter_mut().zip(per_shard) {
+            shard.ingest(batch);
         }
     }
 
     /// Run the lockstep event loop until every shard is drained, then
-    /// return the combined report.
+    /// return the combined report. Within a shard, completions are
+    /// processed before arrivals at equal times, and admission is
+    /// retried after every state change.
     pub fn drain(&mut self) -> ShardedReport {
+        self.settle();
+        self.report()
+    }
+
+    /// The lockstep loop behind [`drain`](Self::drain) and
+    /// [`run_now`](Self::run_now).
+    fn settle(&mut self) {
         let mut now = SimTime::ZERO;
         loop {
             // Settle every shard at the global clock, in index order.
-            for f in &mut self.facilities {
-                f.advance_to(now);
+            for shard in &mut self.shards {
+                shard.advance_to(now);
             }
             if self.cfg.work_stealing {
                 while self.steal_once() {}
             }
-            let next = self
-                .facilities
-                .iter()
-                .filter_map(Facility::next_event_time)
-                .min();
+            let next = self.shards.iter().filter_map(Shard::next_event_time).min();
             let Some(next) = next else { break };
             now = now.max(next);
         }
-        self.report()
     }
 
-    /// Run a standing (reactive) submission on `tenant`'s home shard and
-    /// re-settle every other shard to the home shard's clock, preserving
-    /// the lockstep-determinism induction (see the module docs). See
-    /// [`Facility::run_standing`].
-    pub fn run_standing(
-        &mut self,
-        tenant: usize,
-        graph: vine_dag::TaskGraph,
-        label: &str,
-        observer: &mut dyn vine_core::RunObserver,
-    ) -> crate::SubmissionRecord {
-        self.run_standing_recorded(tenant, graph, label, observer, None)
+    /// Submit one graph at `tenant`'s home-shard clock and run the
+    /// facility until it completes (the interactive, single-analyst
+    /// path). Returns the submission's record.
+    pub fn run_now(&mut self, tenant: usize, graph: TaskGraph, label: &str) -> SubmissionRecord {
+        let home = &self.shards[self.home_shard(tenant)];
+        let seq = home.next_seq();
+        let arrival = home.now();
+        self.ingest(vec![Submission {
+            tenant,
+            graph,
+            priority: 0,
+            arrival,
+            label: label.to_string(),
+            stream_threshold: None,
+        }]);
+        self.settle();
+        // Seqs are federation-unique; a steal may have moved the run.
+        self.shards
+            .iter()
+            .find_map(|s| s.record(seq))
+            .expect("drained facility must have recorded the submission")
+            .clone()
     }
 
-    /// [`run_standing`](Self::run_standing) with a recorder attached to
-    /// the inner run. See [`Facility::run_standing_recorded`].
-    pub fn run_standing_recorded<'a>(
+    /// Run a standing (reactive) submission right now on `tenant`'s home
+    /// shard: every partition delta streams into the caller's `observer`
+    /// (and, when given, the inner run's span/metric stream into
+    /// `recorder`), so a reactive scheduler can fold refresh deltas into
+    /// a persistent accumulator. The run is charged against `tenant`'s
+    /// fair share and core quota exactly like a queued admission. Every
+    /// other shard is then re-settled to the home shard's clock,
+    /// preserving the lockstep-determinism induction (see the module
+    /// docs).
+    pub fn run_standing<'a>(
         &mut self,
         tenant: usize,
-        graph: vine_dag::TaskGraph,
+        graph: TaskGraph,
         label: &str,
-        observer: &'a mut dyn vine_core::RunObserver,
+        observer: &'a mut dyn RunObserver,
         recorder: Option<&'a mut dyn vine_obs::Recorder>,
-    ) -> crate::SubmissionRecord {
+    ) -> SubmissionRecord {
         let home = self.home_shard(tenant);
-        let record =
-            self.facilities[home].run_standing_recorded(tenant, graph, label, observer, recorder);
-        let t = self.facilities[home].now();
-        for (i, f) in self.facilities.iter_mut().enumerate() {
+        let record = self.shards[home].admit_standing(
+            tenant,
+            graph,
+            label,
+            ExternalHooks { observer, recorder },
+        );
+        let t = self.shards[home].now();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if i != home {
-                f.advance_to(t);
+                shard.advance_to(t);
             }
         }
         record
     }
 
-    /// The result store of `tenant`'s home shard (where its standing
-    /// results are published).
-    pub fn results_for(&self, tenant: usize) -> &crate::ResultStore {
-        self.facilities[self.home_shard(tenant)].results()
+    /// Swap the fault plan and recovery policy injected into every
+    /// shard's *subsequent* inner runs — mid-timeline chaos for reactive
+    /// sessions. Runs already in flight keep the plan they started with.
+    pub fn inject_chaos(&mut self, chaos: FaultPlan, recovery: RecoveryPolicy) {
+        for shard in &mut self.shards {
+            shard.set_chaos(chaos.clone(), recovery);
+        }
+    }
+
+    /// The result store of `tenant`'s home shard (where its streamed
+    /// partials and standing results are published).
+    pub fn results_for(&self, tenant: usize) -> &ResultStore {
+        self.shards[self.home_shard(tenant)].results()
     }
 
     /// Mutable access to `tenant`'s home-shard result store.
-    pub fn results_mut_for(&mut self, tenant: usize) -> &mut crate::ResultStore {
+    pub fn results_mut_for(&mut self, tenant: usize) -> &mut ResultStore {
         let home = self.home_shard(tenant);
-        self.facilities[home].results_mut()
+        self.shards[home].results_mut()
     }
 
     /// The combined report so far.
     pub fn report(&self) -> ShardedReport {
         ShardedReport {
-            shards: self.facilities.iter().map(Facility::report).collect(),
+            shards: self.shards.iter().map(Shard::report).collect(),
             store_metrics: self
                 .store
                 .as_ref()
@@ -383,14 +396,20 @@ impl ShardedFacility {
         }
     }
 
+    /// Shard `index`, for the shard-level unit tests.
+    #[cfg(test)]
+    pub(crate) fn shard_mut(&mut self, index: usize) -> &mut Shard {
+        &mut self.shards[index]
+    }
+
     /// One steal: the first idle shard (free slice, nothing admissible
     /// of its own) takes the globally longest-waiting admissible entry
     /// whose tenant has aggregate quota room, and admits it at the
     /// current clock. Returns whether a steal happened.
     fn steal_once(&mut self) -> bool {
         let wpr = self.cfg.base.workers_per_run;
-        let thief = (0..self.facilities.len()).find(|&i| {
-            let f = &self.facilities[i];
+        let thief = (0..self.shards.len()).find(|&i| {
+            let f = &self.shards[i];
             !f.has_admissible_work() && f.free_workers() >= wpr
         });
         let Some(thief) = thief else { return false };
@@ -398,12 +417,12 @@ impl ShardedFacility {
         // The longest-waiting candidate across the other shards whose
         // tenant's federation-wide in-flight cores leave quota room.
         let run_cores = self.cfg.base.run_cores();
-        let victim = (0..self.facilities.len())
+        let victim = (0..self.shards.len())
             .filter(|&i| i != thief)
             .filter_map(|i| {
-                let (tenant, arrival, seq) = self.facilities[i].steal_candidate()?;
+                let (tenant, arrival, seq) = self.shards[i].steal_candidate()?;
                 let aggregate: u64 = self
-                    .facilities
+                    .shards
                     .iter()
                     .map(|f| f.tenant_inflight_cores(tenant))
                     .sum();
@@ -414,10 +433,10 @@ impl ShardedFacility {
         let Some((_, _, victim, tenant)) = victim else {
             return false;
         };
-        let Some(q) = self.facilities[victim].take_steal(tenant) else {
+        let Some(q) = self.shards[victim].take_steal(tenant) else {
             return false;
         };
-        self.facilities[thief].accept_stolen(tenant, q);
+        self.shards[thief].accept_stolen(tenant, q);
         self.steals += 1;
         true
     }

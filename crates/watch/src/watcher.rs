@@ -1,7 +1,7 @@
 //! The reactive scheduler: standing submissions over a growing dataset.
 //!
 //! A [`WatchSession`] owns a [`DatasetLog`], a set of
-//! [`StandingSubmission`]s, and a backend facility. Growth is staged
+//! [`StandingSubmission`]s, and their facility. Growth is staged
 //! (`append_partition`, `edit_spec`) and committed in epochs; at each
 //! commit every submission's [`TriggerPolicy`] looks at the events since
 //! its last completed epoch and decides whether to refresh. A refresh
@@ -10,7 +10,7 @@
 //! cone (see [`GraphTemplate`](crate::GraphTemplate)) — streams each
 //! newly executed partition's delta into a persistent
 //! [`StreamAccumulator`], and publishes the re-merged histogram set into
-//! the backend's [`ResultStore`](vine_serve::ResultStore) under an
+//! the owning tenant's [`ResultStore`](vine_serve::ResultStore) under an
 //! epoch-versioned key.
 //!
 //! Determinism contract: run IDs, refresh ordering, metric exports, and
@@ -28,89 +28,10 @@ use vine_core::{ObserverControl, PartialUpdate, RunObserver};
 use vine_data::{encode_histogram_set, fnv1a64, DatasetLog, HistogramSet};
 use vine_lint::{lint_watch, Report, StandingFacts, WatchFacts};
 use vine_obs::{MetricsRegistry, Recorder};
-use vine_serve::{graph_result_name, Facility, ShardedFacility, SubmissionRecord};
-use vine_storage::CacheName;
+use vine_serve::{graph_result_name, ShardedFacility};
 
 use crate::template::GraphTemplate;
 use crate::trigger::TriggerPolicy;
-
-/// Anything a standing submission can refresh against: a facility (or
-/// federation) that charges the run to a tenant, streams partition
-/// deltas to an observer, and serves epoch-versioned results.
-pub trait StandingBackend {
-    /// Run `graph` for `tenant` right now, streaming partition deltas to
-    /// `observer` (and the engine's span/metric stream to `recorder`,
-    /// when given).
-    fn refresh<'a>(
-        &mut self,
-        tenant: usize,
-        graph: vine_dag::TaskGraph,
-        label: &str,
-        observer: &'a mut dyn RunObserver,
-        recorder: Option<&'a mut dyn Recorder>,
-    ) -> SubmissionRecord;
-
-    /// Publish `bytes` as the serving result for `key` at `epoch` in the
-    /// tenant's result store. Returns false when a newer epoch already
-    /// serves this key.
-    fn publish(
-        &mut self,
-        tenant: usize,
-        key: &str,
-        epoch: u64,
-        name: CacheName,
-        bytes: Vec<u8>,
-    ) -> bool;
-}
-
-impl StandingBackend for Facility {
-    fn refresh<'a>(
-        &mut self,
-        tenant: usize,
-        graph: vine_dag::TaskGraph,
-        label: &str,
-        observer: &'a mut dyn RunObserver,
-        recorder: Option<&'a mut dyn Recorder>,
-    ) -> SubmissionRecord {
-        self.run_standing_recorded(tenant, graph, label, observer, recorder)
-    }
-
-    fn publish(
-        &mut self,
-        _tenant: usize,
-        key: &str,
-        epoch: u64,
-        name: CacheName,
-        bytes: Vec<u8>,
-    ) -> bool {
-        self.results_mut().publish_epoch(key, epoch, name, bytes)
-    }
-}
-
-impl StandingBackend for ShardedFacility {
-    fn refresh<'a>(
-        &mut self,
-        tenant: usize,
-        graph: vine_dag::TaskGraph,
-        label: &str,
-        observer: &'a mut dyn RunObserver,
-        recorder: Option<&'a mut dyn Recorder>,
-    ) -> SubmissionRecord {
-        self.run_standing_recorded(tenant, graph, label, observer, recorder)
-    }
-
-    fn publish(
-        &mut self,
-        tenant: usize,
-        key: &str,
-        epoch: u64,
-        name: CacheName,
-        bytes: Vec<u8>,
-    ) -> bool {
-        self.results_mut_for(tenant)
-            .publish_epoch(key, epoch, name, bytes)
-    }
-}
 
 /// A graph template bound to a tenant, a trigger policy, and a label.
 #[derive(Clone, Debug)]
@@ -228,20 +149,20 @@ impl RunObserver for FoldObserver<'_> {
 }
 
 /// The reactive session: a growing dataset log, standing submissions,
-/// and the backend they refresh against.
-pub struct WatchSession<B: StandingBackend> {
-    backend: B,
+/// and the facility they refresh on.
+pub struct WatchSession {
+    facility: ShardedFacility,
     log: DatasetLog,
     subs: Vec<StandingState>,
     metrics: MetricsRegistry,
     next_run_id: u64,
 }
 
-impl<B: StandingBackend> WatchSession<B> {
-    /// A session over `backend` with an empty dataset log at epoch 0.
-    pub fn new(backend: B, seed: u64) -> Self {
+impl WatchSession {
+    /// A session over `facility` with an empty dataset log at epoch 0.
+    pub fn new(facility: ShardedFacility, seed: u64) -> Self {
         WatchSession {
-            backend,
+            facility,
             log: DatasetLog::new(seed),
             subs: Vec::new(),
             metrics: MetricsRegistry::new(),
@@ -347,23 +268,28 @@ impl<B: StandingBackend> WatchSession<B> {
             // the recorder at a coercion site, shortening its trait-object
             // lifetime to the observer's.
             match recorder {
-                Some(rec) => self.backend.refresh(
+                Some(rec) => self.facility.run_standing(
                     st.sub.tenant,
                     graph,
                     &st.sub.label,
                     &mut obs,
                     Some(&mut *rec),
                 ),
-                None => self
-                    .backend
-                    .refresh(st.sub.tenant, graph, &st.sub.label, &mut obs, None),
+                None => {
+                    self.facility
+                        .run_standing(st.sub.tenant, graph, &st.sub.label, &mut obs, None)
+                }
             }
         };
         let published = match result_name {
             Some(name) => {
                 let bytes = encode_histogram_set(st.acc.estimate());
-                self.backend
-                    .publish(st.sub.tenant, &st.sub.label, epoch, name, bytes)
+                self.facility.results_mut_for(st.sub.tenant).publish_epoch(
+                    &st.sub.label,
+                    epoch,
+                    name,
+                    bytes,
+                )
             }
             None => false,
         };
@@ -393,14 +319,14 @@ impl<B: StandingBackend> WatchSession<B> {
         &self.log
     }
 
-    /// The backend, for serving-side inspection (result stores, reports).
-    pub fn backend(&self) -> &B {
-        &self.backend
+    /// The facility, for serving-side inspection (result stores, reports).
+    pub fn facility(&self) -> &ShardedFacility {
+        &self.facility
     }
 
-    /// Mutable backend access (mid-timeline chaos injection).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+    /// Mutable facility access (mid-timeline chaos injection).
+    pub fn facility_mut(&mut self) -> &mut ShardedFacility {
+        &mut self.facility
     }
 
     /// Every refresh submission `id` has completed, in run order.

@@ -12,8 +12,13 @@ use vine_dag::{FileId, TaskGraph};
 use vine_data::encode_histogram_set;
 use vine_obs::span::category;
 use vine_obs::MemoryRecorder;
-use vine_serve::{Facility, FacilityConfig, ShardedConfig, ShardedFacility};
+use vine_serve::{FacilityConfig, ShardedConfig, ShardedFacility};
 use vine_watch::{GraphTemplate, StandingSubmission, TriggerPolicy, WatchSession};
+
+/// A single-pool facility over the demo config.
+fn pool(seed: u64) -> ShardedFacility {
+    ShardedFacility::new(FacilityConfig::demo(seed).into()).unwrap()
+}
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec::dv3_small().scaled_down(20)
@@ -54,8 +59,7 @@ fn downstream_closure(g: &TaskGraph, roots: &[FileId]) -> BTreeSet<u64> {
 
 #[test]
 fn reactive_refresh_executes_exactly_the_affected_cone() {
-    let f = Facility::new(FacilityConfig::demo(7)).unwrap();
-    let mut ws = WatchSession::new(f, 42);
+    let mut ws = WatchSession::new(pool(7), 42);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -102,9 +106,9 @@ fn reactive_refresh_executes_exactly_the_affected_cone() {
     // Bit-identity: a cold full recompute of the same epoch's graph on a
     // fresh facility folds every partition once and must reach exactly
     // the same digest as the incrementally re-merged standing estimate.
-    let mut cold = Facility::new(FacilityConfig::demo(7)).unwrap();
+    let mut cold = pool(7);
     let mut obs = Collect(StreamAccumulator::new());
-    let record = cold.run_standing(0, g1, "cold-full", &mut obs);
+    let record = cold.run_standing(0, g1, "cold-full", &mut obs, None);
     assert!(record.completed);
     assert_eq!(
         obs.0.digest(),
@@ -115,8 +119,7 @@ fn reactive_refresh_executes_exactly_the_affected_cone() {
 
 #[test]
 fn quiet_epoch_refresh_executes_nothing() {
-    let f = Facility::new(FacilityConfig::demo(11)).unwrap();
-    let mut ws = WatchSession::new(f, 1);
+    let mut ws = WatchSession::new(pool(11), 1);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -135,8 +138,7 @@ fn quiet_epoch_refresh_executes_nothing() {
 
 #[test]
 fn batched_trigger_fires_only_at_the_batch_threshold() {
-    let f = Facility::new(FacilityConfig::demo(13)).unwrap();
-    let mut ws = WatchSession::new(f, 2);
+    let mut ws = WatchSession::new(pool(13), 2);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -160,20 +162,22 @@ fn batched_trigger_fires_only_at_the_batch_threshold() {
 
 #[test]
 fn served_results_are_epoch_versioned() {
-    let f = Facility::new(FacilityConfig::demo(17)).unwrap();
-    let mut ws = WatchSession::new(f, 3);
+    let mut ws = WatchSession::new(pool(17), 3);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
         TriggerPolicy::EveryEpoch,
         "dv3.served",
     ));
-    assert_eq!(ws.backend().results().current_epoch("dv3.served"), Some(0));
+    assert_eq!(
+        ws.facility().results_for(0).current_epoch("dv3.served"),
+        Some(0)
+    );
     ws.append_partition(0, 25_000_000);
     let epoch = ws.commit_epoch();
     let (served_epoch, _, payload) = ws
-        .backend()
-        .results()
+        .facility()
+        .results_for(0)
         .get_versioned("dv3.served")
         .expect("standing submission must be served");
     assert_eq!(served_epoch, epoch);
@@ -186,8 +190,7 @@ fn served_results_are_epoch_versioned() {
 
 /// One fixed growth timeline; optionally injects chaos mid-way.
 fn run_timeline(chaos: bool) -> (u64, u64) {
-    let f = Facility::new(FacilityConfig::demo(9)).unwrap();
-    let mut ws = WatchSession::new(f, 5);
+    let mut ws = WatchSession::new(pool(9), 5);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -197,7 +200,7 @@ fn run_timeline(chaos: bool) -> (u64, u64) {
     ws.append_partition(0, 30_000_000);
     ws.commit_epoch();
     if chaos {
-        ws.backend_mut().inject_chaos(
+        ws.facility_mut().inject_chaos(
             FaultPlan::preset("campus").unwrap(),
             RecoveryPolicy::default(),
         );
@@ -247,15 +250,14 @@ fn sharded_backend_serves_standing_submissions() {
     assert!(r.published);
     assert!(r.executed_tasks > 0 && r.saved_tasks > 0);
     assert_eq!(
-        ws.backend().results_for(1).current_epoch("dv3.sharded"),
+        ws.facility().results_for(1).current_epoch("dv3.sharded"),
         Some(epoch)
     );
 
-    // The federation-served estimate matches a single-facility session
-    // replaying the same timeline: the backend is an execution substrate,
-    // not part of the result.
-    let f = Facility::new(FacilityConfig::demo(23)).unwrap();
-    let mut solo = WatchSession::new(f, 6);
+    // The federation-served estimate matches a single-pool session
+    // replaying the same timeline: the shard layout is an execution
+    // substrate, not part of the result.
+    let mut solo = WatchSession::new(pool(23), 6);
     let sid = solo.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -269,8 +271,7 @@ fn sharded_backend_serves_standing_submissions() {
 
 #[test]
 fn metrics_count_saved_executions() {
-    let f = Facility::new(FacilityConfig::demo(29)).unwrap();
-    let mut ws = WatchSession::new(f, 7);
+    let mut ws = WatchSession::new(pool(29), 7);
     ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -294,8 +295,7 @@ fn metrics_count_saved_executions() {
 #[test]
 #[should_panic(expected = "rejected by lint")]
 fn overwide_watch_list_is_refused_at_registration() {
-    let f = Facility::new(FacilityConfig::demo(31)).unwrap();
-    let mut ws = WatchSession::new(f, 8);
+    let mut ws = WatchSession::new(pool(31), 8);
     ws.register(
         StandingSubmission::new(
             0,

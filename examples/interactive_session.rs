@@ -14,10 +14,11 @@
 //! Run with: `cargo run --release --example interactive_session`
 
 use reshaping_hep::analysis::WorkloadSpec;
-use reshaping_hep::serve::{Facility, FacilityConfig};
+use reshaping_hep::serve::{FacilityConfig, ShardedFacility};
 
 fn main() {
-    let mut facility = Facility::new(FacilityConfig::demo(42)).expect("demo config is clean");
+    let mut facility =
+        ShardedFacility::new(FacilityConfig::demo(42).into()).expect("demo config is clean");
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
 
     println!("interactive session: DV3-Small, one analyst, warm facility\n");
